@@ -4,6 +4,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "smst/util/args.h"
 #include "smst/util/prng.h"
 
 namespace smst {
@@ -75,19 +76,27 @@ namespace {
 double ParseProb(const std::string& item, const std::string& s) {
   char* end = nullptr;
   const double p = std::strtod(s.c_str(), &end);
-  if (end != s.c_str() + s.size() || p < 0.0 || p > 1.0) {
+  // Written so that NaN ("drop=nan") fails the range test too.
+  if (end != s.c_str() + s.size() || !(p >= 0.0 && p <= 1.0)) {
     SpecError(item, "probability must be in [0, 1]");
   }
   return p;
 }
 
 std::uint64_t ParseUint(const std::string& item, const std::string& s) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  if (s.empty() || end != s.c_str() + s.size()) {
-    SpecError(item, "expected an unsigned integer, got '" + s + "'");
+  const auto v = ParsePlainDecimal(s);
+  if (!v) SpecError(item, "expected an unsigned integer, got '" + s + "'");
+  return *v;
+}
+
+// kInvalidNode means "every node", so a real index stays below it.
+NodeIndex ParseNode(const std::string& item, const std::string& s) {
+  const auto v = ParsePlainDecimal(s, kInvalidNode - 1);
+  if (!v) {
+    SpecError(item, "expected a node index below " +
+                        std::to_string(kInvalidNode) + ", got '" + s + "'");
   }
-  return v;
+  return static_cast<NodeIndex>(*v);
 }
 
 }  // namespace
@@ -107,7 +116,7 @@ FaultPlan ParseFaultPlan(const std::string& spec) {
     // were written; @ binds last in the grammar).
     NodeIndex node = kInvalidNode;
     if (const auto at = value.find('@'); at != std::string::npos) {
-      node = static_cast<NodeIndex>(ParseUint(item, value.substr(at + 1)));
+      node = ParseNode(item, value.substr(at + 1));
       value = value.substr(0, at);
     }
     double prob = 1.0;

@@ -79,6 +79,12 @@ WeightedGraph GraphBuilder::Build() && {
     }
   }
 
+  // Too few edges to connect n nodes. Checked before anything below is
+  // sized by n, so a huge declared node count fails instead of allocating.
+  if (g.edges_.size() + 1 < num_nodes_) {
+    throw std::invalid_argument("graph is not connected");
+  }
+
   // IDs: default 1..n; validate distinct and within [1, max_id].
   if (ids_.empty()) {
     ids_.resize(num_nodes_);

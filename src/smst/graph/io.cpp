@@ -1,10 +1,14 @@
 #include "smst/graph/io.h"
 
 #include <fstream>
+#include <limits>
+#include <map>
 #include <optional>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+
+#include "smst/util/args.h"
 
 namespace smst {
 
@@ -15,48 +19,74 @@ namespace {
                               ": " + what);
 }
 
+// The largest node count: indices 0..n-1 must stay below kInvalidNode.
+constexpr std::uint64_t kMaxNodes = kInvalidNode;
+
+std::uint64_t ParseField(std::size_t line, const std::string& what,
+                         const std::string& token, std::uint64_t max) {
+  const auto v = ParsePlainDecimal(token, max);
+  if (!v) {
+    Fail(line, "bad " + what + " '" + token +
+                   "' (expected an integer in [0, " + std::to_string(max) +
+                   "])");
+  }
+  return *v;
+}
+
 }  // namespace
 
 WeightedGraph ReadEdgeList(std::istream& in) {
   std::optional<GraphBuilder> builder;
   std::size_t n = 0;
   NodeId max_id = 0;
-  std::vector<NodeId> ids;
-  bool has_ids = false;
+  // Node index -> ID from the `id` lines (a repeated index keeps its last
+  // line). Kept sparse so memory follows the input, not the declared n.
+  std::map<NodeIndex, NodeId> ids;
 
   std::string line;
   std::size_t line_no = 0;
+  const auto node_index = [&](const std::string& token) {
+    return static_cast<NodeIndex>(
+        ParseField(line_no, "node index", token, n - 1));
+  };
   while (std::getline(in, line)) {
     ++line_no;
     const auto hash = line.find('#');
     if (hash != std::string::npos) line.resize(hash);
     std::istringstream ls(line);
-    std::string first;
-    if (!(ls >> first)) continue;  // blank / comment-only
+    std::vector<std::string> tok;
+    for (std::string t; ls >> t;) tok.push_back(std::move(t));
+    if (tok.empty()) continue;  // blank / comment-only
 
-    if (first == "n") {
+    if (tok[0] == "n") {
       if (builder.has_value()) Fail(line_no, "duplicate 'n' header");
-      if (!(ls >> n) || n == 0) Fail(line_no, "bad node count");
-      if (!(ls >> max_id)) max_id = n;
+      if (tok.size() < 2 || tok.size() > 3) {
+        Fail(line_no, "expected 'n <node-count> [<max-id>]'");
+      }
+      n = ParseField(line_no, "node count", tok[1], kMaxNodes);
+      if (n == 0) Fail(line_no, "bad node count '0'");
+      max_id = tok.size() == 3
+                   ? ParseField(line_no, "max-id", tok[2],
+                                std::numeric_limits<NodeId>::max())
+                   : n;
       if (max_id < n) Fail(line_no, "max-id below node count");
       builder.emplace(n);
-      ids.assign(n, 0);
       continue;
     }
     if (!builder.has_value()) Fail(line_no, "edges before the 'n' header");
-    if (first == "id") {
-      NodeIndex v;
-      NodeId id;
-      if (!(ls >> v >> id) || v >= n) Fail(line_no, "bad id line");
-      ids[v] = id;
-      has_ids = true;
+    if (tok[0] == "id") {
+      if (tok.size() != 3) {
+        Fail(line_no, "expected 'id <node-index> <node-id>'");
+      }
+      ids[node_index(tok[1])] = ParseField(
+          line_no, "node id", tok[2], std::numeric_limits<NodeId>::max());
       continue;
     }
-    // Edge line: u v w.
-    NodeIndex u, v;
-    Weight w;
-    std::istringstream es(line);
-    if (!(es >> u >> v >> w)) Fail(line_no, "expected 'u v weight'");
+    if (tok.size() != 3) Fail(line_no, "expected 'u v weight'");
+    const NodeIndex u = node_index(tok[0]);
+    const NodeIndex v = node_index(tok[1]);
+    const Weight w = ParseField(line_no, "weight", tok[2],
+                                std::numeric_limits<Weight>::max());
     try {
       builder->AddEdge(u, v, w);
     } catch (const std::invalid_argument& e) {
@@ -64,14 +94,18 @@ WeightedGraph ReadEdgeList(std::istream& in) {
     }
   }
   if (!builder.has_value()) throw std::invalid_argument("empty edge list");
-  if (has_ids) {
-    for (std::size_t v = 0; v < n; ++v) {
-      if (ids[v] == 0) {
-        throw std::invalid_argument("node " + std::to_string(v) +
-                                    " has no 'id' line");
-      }
+  if (!ids.empty()) {
+    // Every node needs an id line once any has one.
+    std::vector<NodeId> by_index;
+    for (const auto& [v, id] : ids) {
+      if (v != by_index.size()) break;
+      by_index.push_back(id);
     }
-    builder->SetIds(std::move(ids), max_id);
+    if (by_index.size() != n) {
+      throw std::invalid_argument("node " + std::to_string(by_index.size()) +
+                                  " has no 'id' line");
+    }
+    builder->SetIds(std::move(by_index), max_id);
   }
   return std::move(*builder).Build();
 }

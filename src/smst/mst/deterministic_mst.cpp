@@ -612,7 +612,7 @@ Round FlatDetProgram::Advance(NodeIndex v, FlatEnv& env,
                                   std::to_string(sh_->phase_cap) +
                                   " exceeded without termination");
       }
-      metrics.ExtendRun(st.cursor.NextRound() - 1);
+      metrics.SetLastRound(st.cursor.NextRound() - 1);
       sh_->final_ldt[v] = st.ldt;
       sh_->phases_done[v] = st.last_active_phase;
       return kFlatDone;

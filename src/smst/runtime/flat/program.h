@@ -37,9 +37,10 @@ using Round = std::uint64_t;
 inline constexpr Round kFlatDone = 0;
 
 // What a flat program may touch besides its own state: the run's metrics
-// sink (for Probe / ExtendRun — the out-of-band telemetry NodeContext
-// exposes). Per-node randomness is the program's own concern: drivers
-// split a root PRNG per node exactly like Simulator does for contexts.
+// sink (Probe telemetry, and SetLastRound where a coroutine node would
+// call NodeContext::ReportTermination). Per-node randomness is the
+// program's own concern: drivers split a root PRNG per node exactly like
+// Simulator does for contexts.
 struct FlatEnv {
   Metrics* metrics = nullptr;
 };

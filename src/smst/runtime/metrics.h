@@ -50,14 +50,11 @@ class Metrics {
 
   void EnableWakeTimes() { record_wake_times_ = true; }
   bool WakeTimesEnabled() const { return record_wake_times_; }
-  void SetLastRound(std::uint64_t r) {
-    if (r > last_round_) last_round_ = r;
-  }
   // Run time counts every round until the last node terminates locally,
   // including trailing sleeping rounds (a paper-phase-budget run sleeps
   // through its unused phases but still "takes" them).
-  void ExtendRun(std::uint64_t termination_round) {
-    SetLastRound(termination_round);
+  void SetLastRound(std::uint64_t r) {
+    if (r > last_round_) last_round_ = r;
   }
   std::uint64_t LastRound() const { return last_round_; }
 

@@ -89,7 +89,7 @@ class NodeContext {
   // Declares the round in which this node's program terminates locally;
   // extends the run-time meter past trailing sleeping rounds (run time
   // counts sleeping rounds too, per the model).
-  void ReportTermination(Round round) { metrics_.ExtendRun(round); }
+  void ReportTermination(Round round) { metrics_.SetLastRound(round); }
 
   // --- out-of-band telemetry (benches only; no effect on execution) ----
   void Probe(std::uint32_t kind, std::uint64_t key, std::int64_t delta = 1) {

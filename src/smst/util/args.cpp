@@ -1,26 +1,24 @@
 #include "smst/util/args.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <stdexcept>
 
 namespace smst {
 
-namespace {
-
-// std::stoull happily parses "-1" (wrapping to 2^64-1), leading
-// whitespace, "+5", and "0x10" — all of which silently turn user typos
-// like `--seeds -1` into enormous values. A uint flag accepts plain
-// decimal digits only.
-bool IsPlainDecimal(const std::string& s) {
-  if (s.empty()) return false;
-  for (char c : s) {
-    if (!std::isdigit(static_cast<unsigned char>(c))) return false;
+std::optional<std::uint64_t> ParsePlainDecimal(std::string_view text,
+                                               std::uint64_t max) {
+  // std::from_chars on an unsigned type takes digits only (no sign,
+  // whitespace or prefix) and reports overflow, unlike strtoull/stoull.
+  std::uint64_t v = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc() || ptr != end || v > max) {
+    return std::nullopt;
   }
-  return true;
+  return v;
 }
-
-}  // namespace
 
 ArgParser::ArgParser(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
@@ -61,22 +59,12 @@ std::uint64_t ArgParser::GetUint(const std::string& name,
   used_[name] = true;
   auto it = values_.find(name);
   if (it == values_.end()) return fallback;
-  if (!IsPlainDecimal(it->second)) {
+  const auto v = ParsePlainDecimal(it->second);
+  if (!v) {
     throw std::invalid_argument("--" + name + " expects an integer, got '" +
                                 it->second + "'");
   }
-  try {
-    std::size_t pos = 0;
-    const std::uint64_t v = std::stoull(it->second, &pos);
-    if (pos != it->second.size()) {
-      throw std::invalid_argument("");
-    }
-    return v;
-  } catch (const std::exception&) {
-    // All-digit strings can still overflow uint64 (std::out_of_range).
-    throw std::invalid_argument("--" + name + " expects an integer, got '" +
-                                it->second + "'");
-  }
+  return *v;
 }
 
 double ArgParser::GetDouble(const std::string& name, double fallback) const {

@@ -1,15 +1,28 @@
 // Minimal command-line flag parser for the CLI tool and examples.
 // Supports --name value and --name=value, typed lookups with defaults,
-// and unknown-flag detection.
+// and unknown-flag detection. Also home of the one unsigned-integer
+// parser every outside input goes through (flags, fault-plan specs,
+// edge lists).
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace smst {
+
+// Parses a plain unsigned decimal: one or more ASCII digits and nothing
+// else — no sign, whitespace, "0x" prefix or exponent, so typos like
+// "-1" cannot wrap into enormous values. Returns nullopt for any other
+// text or a value above `max`; the caller raises the error with its own
+// context (a flag name, a fault-plan item, an edge-list line).
+std::optional<std::uint64_t> ParsePlainDecimal(
+    std::string_view text,
+    std::uint64_t max = std::numeric_limits<std::uint64_t>::max());
 
 class ArgParser {
  public:

@@ -5,6 +5,7 @@
 // tree, independent of thread count).
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -65,6 +66,24 @@ TEST(FaultPlanParseTest, RejectsMalformedItems) {
   EXPECT_THROW(ParseFaultPlan("crash=0"), std::invalid_argument);
   EXPECT_THROW(ParseFaultPlan("delay=2:2"), std::invalid_argument);
   EXPECT_THROW(ParseFaultPlan("drop=0.1@"), std::invalid_argument);
+  // Signs, spaces and prefixes must not parse (strtoull wraps "-2" to
+  // 2^64-2), a node index must stay below kInvalidNode instead of being
+  // truncated, and NaN must fail the probability range check. Each error
+  // names its item.
+  for (const char* bad :
+       {"jitter=-2", "delay=-3", "crash=-1", "salt=-1", "delay=+3",
+        "delay= 3", "jitter=0x10", "salt=99999999999999999999",
+        "drop=0.5@4294967296", "drop=0.5@4294967295", "drop=0.5@-1",
+        "drop=nan", "delay=2:nan"}) {
+    try {
+      ParseFaultPlan(bad);
+      ADD_FAILURE() << "accepted: " << bad;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("'") + bad + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(FaultPlanParseTest, ToStringRoundTrips) {

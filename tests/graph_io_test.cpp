@@ -1,4 +1,6 @@
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -90,12 +92,41 @@ TEST(EdgeListTest, ErrorsCarryLineNumbers) {
     std::istringstream in("");
     EXPECT_THROW(ReadEdgeList(in), std::invalid_argument);
   }
+  // Hostile numbers: a negative must not wrap (to a weight of 2^64-5) or
+  // reach the allocator, counts and indices stay in the NodeIndex range,
+  // and each error names its line.
+  const std::pair<const char*, const char*> hostile[] = {
+      {"n 3\n0 1 -5\n", "line 2"},
+      {"n -3\n", "line 1"},
+      {"n 99999999999999999\n", "line 1"},
+      {"n 4294967296\n", "line 1"},
+      {"n 2\n0 4294967296 5\n", "line 2"},
+      {"n 2\n0 2 5\n", "line 2"},
+      {"n 2\nid -1 3\n", "line 2"},
+      {"n 2 -9\n", "line 1"},
+      {"n 2\n0 1 5 7\n", "line 2"},
+      {"n 2\n0 1 0x5\n", "line 2"},
+  };
+  for (const auto& [text, line] : hostile) {
+    std::istringstream in(text);
+    try {
+      ReadEdgeList(in);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(line), std::string::npos)
+          << text << " -> " << e.what();
+    }
+  }
 }
 
 TEST(EdgeListTest, BuilderValidationPropagates) {
   // Disconnected graph: the builder's connectivity check fires.
   std::istringstream in("n 4\n0 1 1\n2 3 2\n");
   EXPECT_THROW(ReadEdgeList(in), std::invalid_argument);
+  // The largest legal node count with one edge: rejected as disconnected
+  // before any per-node table is sized.
+  std::istringstream huge("n 4294967295\n0 1 1\n");
+  EXPECT_THROW(ReadEdgeList(huge), std::invalid_argument);
 }
 
 TEST(DotTest, HighlightsTreeEdges) {

@@ -1,7 +1,7 @@
 // Tests for tools/smst_lint: exact fixture-corpus findings, suppression
-// and baseline semantics, JSON/SARIF output, parallel byte-identity, the
-// incremental cache, and the shipped-tree-clean guarantee
-// (src/ + tools/ + tests/ + bench/ modulo tools/smst_lint/baseline.txt).
+// and baseline semantics, JSON/SARIF output, and the shipped-tree-clean
+// guarantee (src/ + tools/ + tests/ + bench/ modulo
+// tools/smst_lint/baseline.txt).
 //
 // The analyzer binary is exercised end to end: each test invokes it the
 // way CI and the `lint` target do. SMST_LINT_BIN and SMST_REPO_ROOT are
@@ -11,7 +11,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -25,10 +24,11 @@ struct LintRun {
   std::string stdout_text;
 };
 
-LintRun RunLint(const std::string& args) {
-  const std::string cmd =
-      std::string(SMST_LINT_BIN) + " --root " + SMST_REPO_ROOT + " " + args +
-      " 2>/dev/null";
+// `redirect` decides where stderr goes; " 2>&1" folds it into stdout_text.
+LintRun RunLint(const std::string& args,
+                const std::string& redirect = " 2>/dev/null") {
+  const std::string cmd = std::string(SMST_LINT_BIN) + " --root " +
+                          SMST_REPO_ROOT + " " + args + redirect;
   FILE* pipe = popen(cmd.c_str(), "r");
   EXPECT_NE(pipe, nullptr) << cmd;
   LintRun run;
@@ -137,9 +137,7 @@ TEST(SmstLint, BaselineFiltersListedFindingsOnly) {
   EXPECT_EQ(RunLint(target).exit_code, 1);
   EXPECT_EQ(FindingTriples(RunLint(target).stdout_text).size(), 2u);
 
-  // With it: only the non-baselined det-wall-clock survives. The fixture
-  // baseline uses the legacy `path|rule|text` key form, so this also
-  // pins the one-release fallback.
+  // With it: only the non-baselined det-wall-clock survives.
   const LintRun filtered = RunLint(
       "--baseline " + std::string(SMST_REPO_ROOT) +
       "/tests/lint_fixtures/baseline_case.txt " + target);
@@ -161,33 +159,50 @@ TEST(SmstLint, WriteBaselineRoundTripsToClean) {
   std::remove(tmp.c_str());
 }
 
-TEST(SmstLint, PruneBaselineMigratesKeysAndDropsStale) {
-  // Seed a baseline holding one legacy-format live entry and one stale
-  // entry; --prune-baseline must rewrite it to just the live entry, in
-  // the v2 content-hash key form.
+TEST(SmstLint, PruneBaselineDropsStaleEntries) {
+  // Seed a baseline holding one live entry (the fixture's det-rand key)
+  // and one stale entry; --prune-baseline must rewrite it to just the
+  // live entry.
+  const std::string live =
+      "tests/lint_fixtures/baseline_case.cpp|det-rand|h:688954a03f4feb39";
   const std::string tmp = testing::TempDir() + "smst_lint_prune.txt";
   {
     std::ofstream out(tmp);
-    out << "tests/lint_fixtures/baseline_case.cpp|det-rand|return rand(); "
-           "// in baseline_case.txt: does not fail the run\n";
-    out << "tests/lint_fixtures/gone.cpp|det-rand|rand();\n";
+    out << live << "\n";
+    out << "tests/lint_fixtures/gone.cpp|det-rand|h:0123456789abcdef\n";
   }
   const LintRun prune = RunLint("--baseline " + tmp + " --prune-baseline " +
                                 FixturePath("baseline_case.cpp"));
   EXPECT_EQ(prune.exit_code, 1);  // det-wall-clock is still active
 
   const std::string pruned = ReadAll(tmp);
-  EXPECT_NE(pruned.find("baseline_case.cpp|det-rand|h:"), std::string::npos)
-      << pruned;
+  EXPECT_NE(pruned.find(live + "\n"), std::string::npos) << pruned;
   EXPECT_EQ(pruned.find("gone.cpp"), std::string::npos) << pruned;
-  EXPECT_EQ(pruned.find("return rand()"), std::string::npos) << pruned;
 
-  // The migrated file still filters the same finding.
+  // The pruned file still filters the same finding.
   const LintRun reread =
       RunLint("--baseline " + tmp + " " + FixturePath("baseline_case.cpp"));
   const std::set<std::string> expected = {
       "tests/lint_fixtures/baseline_case.cpp:15:[det-wall-clock]"};
   EXPECT_EQ(FindingTriples(reread.stdout_text), expected);
+  std::remove(tmp.c_str());
+}
+
+TEST(SmstLint, BaselineLineWithoutHashIsAnError) {
+  // Only `path|rule|h:<fnv64>` entries parse; the old line-text form is
+  // rejected with exit 2, naming the offending line.
+  const std::string tmp = testing::TempDir() + "smst_lint_bad_baseline.txt";
+  {
+    std::ofstream out(tmp);
+    out << "# comment\n\n";
+    out << "tests/lint_fixtures/baseline_case.cpp|det-rand|return rand();\n";
+  }
+  const LintRun run =
+      RunLint("--baseline " + tmp + " " + FixturePath("baseline_case.cpp"),
+              " 2>&1");
+  EXPECT_EQ(run.exit_code, 2);
+  EXPECT_NE(run.stdout_text.find("baseline line 3"), std::string::npos)
+      << run.stdout_text;
   std::remove(tmp.c_str());
 }
 
@@ -211,8 +226,7 @@ TEST(SmstLint, JsonOutputReportsRulesAndCounts) {
   EXPECT_NE(run.stdout_text.find("\"baselined\": true"), std::string::npos);
   EXPECT_NE(run.stdout_text.find("\"active\": 1, \"baselined\": 1"),
             std::string::npos);
-  EXPECT_NE(run.stdout_text.find("\"files_analyzed\": 1"), std::string::npos);
-  EXPECT_NE(run.stdout_text.find("\"files_cached\": 0"), std::string::npos);
+  EXPECT_NE(run.stdout_text.find("\"files_scanned\": 1"), std::string::npos);
 }
 
 TEST(SmstLint, SarifOutputHasDriverRulesAndResults) {
@@ -236,30 +250,6 @@ TEST(SmstLint, SarifOutputHasDriverRulesAndResults) {
   EXPECT_NE(sarif.find("tests/lint_fixtures/baseline_case.cpp"),
             std::string::npos);
   std::remove(tmp.c_str());
-}
-
-TEST(SmstLint, ParallelRunsAreByteIdentical) {
-  const LintRun one = RunLint("--json --jobs 1 tests/lint_fixtures");
-  const LintRun four = RunLint("--json --jobs 4 tests/lint_fixtures");
-  EXPECT_EQ(one.exit_code, four.exit_code);
-  EXPECT_EQ(one.stdout_text, four.stdout_text);
-}
-
-TEST(SmstLint, IncrementalCacheSkipsUnchangedFiles) {
-  const std::string dir = testing::TempDir() + "smst_lint_cache";
-  std::filesystem::remove_all(dir);
-  const LintRun cold = RunLint("--json --cache " + dir +
-                               " tests/lint_fixtures");
-  EXPECT_NE(cold.stdout_text.find("\"files_cached\": 0"), std::string::npos)
-      << cold.stdout_text;
-  const LintRun warm = RunLint("--json --cache " + dir +
-                               " tests/lint_fixtures");
-  EXPECT_NE(warm.stdout_text.find("\"files_analyzed\": 0"), std::string::npos)
-      << warm.stdout_text;
-  // Cached and fresh runs agree on the findings themselves.
-  EXPECT_EQ(cold.exit_code, warm.exit_code);
-  EXPECT_EQ(FindingTriples(cold.stdout_text), FindingTriples(warm.stdout_text));
-  std::filesystem::remove_all(dir);
 }
 
 TEST(SmstLint, ListRulesCoversAllPacks) {

@@ -102,6 +102,11 @@ TEST(ArgsTest, GetUintRejectsNegativeAndExoticForms) {
   EXPECT_EQ(zero.GetUint("n", 1), 0u);
 }
 
+TEST(ArgsTest, ParsePlainDecimalHonorsCallerMax) {
+  EXPECT_EQ(ParsePlainDecimal("4294967295", 4294967295u), 4294967295u);
+  EXPECT_EQ(ParsePlainDecimal("4294967296", 4294967295u), std::nullopt);
+}
+
 TEST(ArgsTest, GetDoubleRejectsNonFiniteAndGarbage) {
   for (const char* bad : {"nan", "inf", "-inf", "1e999", "", " 1.5", "1.5 ",
                           "0.5q", "--3"}) {

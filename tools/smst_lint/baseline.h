@@ -9,19 +9,15 @@
 //
 // The hash is FNV-1a 64 over the line text with ALL whitespace stripped,
 // so reformatting alone doesn't unbaseline a finding (changing the code
-// does — which is the point).
-//
-// Legacy v1 entries (`path|rule-id|normalized line text`) are still
-// accepted for one release so existing baselines keep working; running
-// with --write-baseline or --prune-baseline rewrites them as v2 keys.
+// does — which is the point). Any other non-comment line is a parse
+// error.
 //
 // `#` starts a comment; blank lines are ignored.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <map>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "rules.h"
@@ -31,39 +27,30 @@ namespace smst_lint {
 class Baseline {
  public:
   // Parses baseline text (the file's contents). Unparseable lines are
-  // reported via `errors`.
+  // reported via `errors`, each naming its line number.
   static Baseline Parse(const std::string& text,
                         std::vector<std::string>* errors);
 
-  static std::uint64_t Fnv1a64(std::string_view data);
-
-  // v2 key for a finding: path|rule|h:<hash of norm_text sans whitespace>.
+  // Key for a finding: path|rule|h:<hash of norm_text sans whitespace>.
   static std::string KeyFor(const Finding& f);
-  // v1 key, accepted for one release: path|rule|normalized line text.
-  static std::string LegacyKeyFor(const Finding& f);
 
-  bool Contains(const std::string& key) const {
-    return keys_.count(key) != 0;
-  }
   void Insert(std::string key) { keys_.emplace(std::move(key), false); }
 
-  // True when the finding matches a v2 or legacy entry; the matching
-  // entry is marked used (the survivors of --prune-baseline).
+  // True when the finding matches an entry; the matching entry is
+  // marked used (the survivors of --prune-baseline).
   bool Matches(const Finding& f);
 
   // Serialized, sorted, with a header comment — for --write-baseline.
-  // Legacy keys that matched a finding this run are rewritten as v2.
   std::string Serialize() const;
 
-  // Only the entries that matched a finding this run (v2 form) — the
-  // output of --prune-baseline. `dropped` reports how many entries the
-  // prune removed.
+  // Only the entries that matched a finding this run — the output of
+  // --prune-baseline. `dropped` reports how many entries the prune
+  // removed.
   std::string SerializeUsed(std::size_t* dropped) const;
 
  private:
-  // key -> (used this run, v2 rewrite of the key if it was legacy)
+  // key -> used this run
   std::map<std::string, bool> keys_;
-  std::map<std::string, std::string> legacy_rewrites_;
 };
 
 }  // namespace smst_lint

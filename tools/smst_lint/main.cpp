@@ -8,14 +8,9 @@
 //   --baseline FILE        filter findings through a baseline file
 //   --write-baseline FILE  write all current findings as the new baseline
 //   --prune-baseline       rewrite --baseline FILE keeping only entries
-//                          that still match a finding (migrates legacy
-//                          keys to the v2 hash form)
+//                          that still match a finding
 //   --json                 machine-readable output on stdout
 //   --sarif FILE           write a SARIF 2.1.0 log to FILE
-//   --jobs N               analyze files on N worker threads (default 1);
-//                          output is byte-identical for any N
-//   --cache DIR            incremental cache: reuse per-file results when
-//                          mtime or content hash is unchanged
 //   --list-rules           print rule ids and summaries
 //
 // Directory walks skip subdirectories named lint_fixtures (the test
@@ -26,18 +21,15 @@
 // 2 usage or I/O error.
 
 #include <algorithm>
-#include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <optional>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "baseline.h"
-#include "cache.h"
 #include "lexer.h"
 #include "rules.h"
 #include "sarif.h"
@@ -109,35 +101,20 @@ void WalkDir(const fs::path& dir, std::vector<fs::path>* out) {
   }
 }
 
-std::int64_t MtimeNs(const fs::path& p) {
-  std::error_code ec;
-  const auto t = fs::last_write_time(p, ec);
-  if (ec) return 0;
-  return static_cast<std::int64_t>(t.time_since_epoch().count());
-}
-
 struct Options {
   fs::path root = fs::current_path();
   std::vector<std::string> paths;
   std::optional<fs::path> baseline_path;
   std::optional<fs::path> write_baseline_path;
   std::optional<fs::path> sarif_path;
-  std::optional<fs::path> cache_dir;
   bool prune_baseline = false;
   bool json = false;
-  int jobs = 1;
 };
 
 int Fail(const std::string& message) {
   std::cerr << "smst_lint: " << message << "\n";
   return 2;
 }
-
-struct Slot {
-  FileAnalysis analysis;
-  bool from_cache = false;
-  std::string error;  // non-empty: I/O failure for this file
-};
 
 }  // namespace
 
@@ -163,11 +140,6 @@ int main(int argc, char** argv) {
       opt.prune_baseline = true;
     } else if (arg == "--sarif") {
       opt.sarif_path = value("--sarif");
-    } else if (arg == "--cache") {
-      opt.cache_dir = value("--cache");
-    } else if (arg == "--jobs") {
-      opt.jobs = std::atoi(value("--jobs"));
-      if (opt.jobs < 1) return Fail("--jobs needs a positive integer");
     } else if (arg == "--json") {
       opt.json = true;
     } else if (arg == "--list-rules") {
@@ -178,8 +150,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--help" || arg == "-h") {
       std::cout << "usage: smst_lint [--root DIR] [--baseline FILE] "
                    "[--write-baseline FILE] [--prune-baseline] "
-                   "[--sarif FILE] [--jobs N] [--cache DIR] [--json] "
-                   "[--list-rules] [path...]\n";
+                   "[--sarif FILE] [--json] [--list-rules] [path...]\n";
       return 0;
     } else if (!arg.empty() && arg[0] == '-') {
       return Fail("unknown option " + arg);
@@ -226,79 +197,22 @@ int main(int argc, char** argv) {
     if (!errors.empty()) return 2;
   }
 
-  // Per-file analysis, optionally parallel: an atomic cursor over the
-  // sorted file list (the parallel runner's ForEach idiom), results
-  // land in file order, everything downstream is serial — so output is
-  // byte-identical for any --jobs value.
-  std::vector<Slot> slots(files.size());
-  std::atomic<std::size_t> cursor{0};
-  auto work = [&] {
-    for (std::size_t idx = cursor.fetch_add(1); idx < files.size();
-         idx = cursor.fetch_add(1)) {
-      const fs::path& file = files[idx];
-      Slot& slot = slots[idx];
-      std::error_code rec;
-      const std::string rel =
-          fs::relative(file, opt.root, rec).generic_string();
-      const std::string path = rec ? file.generic_string() : rel;
-
-      std::int64_t mtime = 0;
-      if (opt.cache_dir) {
-        mtime = MtimeNs(file);
-        if (auto hit = smst_lint::cache::LoadByMtime(*opt.cache_dir, path,
-                                                     mtime)) {
-          slot.analysis = std::move(*hit);
-          slot.from_cache = true;
-          continue;
-        }
-      }
-      auto source = ReadFile(file);
-      if (!source) {
-        slot.error = "cannot read " + file.string();
-        continue;
-      }
-      std::uint64_t hash = 0;
-      if (opt.cache_dir) {
-        hash = Baseline::Fnv1a64(*source);
-        if (auto hit = smst_lint::cache::LoadByContent(*opt.cache_dir, path,
-                                                       mtime, hash)) {
-          slot.analysis = std::move(*hit);
-          slot.from_cache = true;
-          continue;
-        }
-      }
-      slot.analysis = AnalyzeFile(Lex(path, *source));
-      if (opt.cache_dir) {
-        smst_lint::cache::Store(*opt.cache_dir, path, mtime, hash,
-                                slot.analysis);
-      }
-    }
-  };
-  const std::size_t jobs =
-      std::min<std::size_t>(static_cast<std::size_t>(opt.jobs),
-                            std::max<std::size_t>(files.size(), 1));
-  if (jobs <= 1) {
-    work();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(jobs);
-    for (std::size_t w = 0; w < jobs; ++w) pool.emplace_back(work);
-    for (std::thread& th : pool) th.join();
-  }
-
-  std::size_t analyzed = 0, cached = 0;
+  // Per-file analysis in sorted file order.
   std::vector<FileAnalysis> analyses;
-  analyses.reserve(slots.size());
-  for (Slot& slot : slots) {
-    if (!slot.error.empty()) return Fail(slot.error);
-    (slot.from_cache ? cached : analyzed)++;
-    analyses.push_back(std::move(slot.analysis));
+  analyses.reserve(files.size());
+  for (const fs::path& file : files) {
+    std::error_code rec;
+    const std::string rel = fs::relative(file, opt.root, rec).generic_string();
+    auto source = ReadFile(file);
+    if (!source) return Fail("cannot read " + file.string());
+    analyses.push_back(
+        AnalyzeFile(Lex(rec ? file.generic_string() : rel, *source)));
   }
 
-  // Cross-TU pass: flat-twin-drift over the cached+fresh facts.
+  // Cross-TU pass: flat-twin-drift over every file's facts.
   smst_lint::CrossCheckTwins(analyses);
 
-  // Baseline matching and aggregation, in file order (serial).
+  // Baseline matching and aggregation, in file order.
   std::vector<Finding> findings;
   Baseline next_baseline;
   for (FileAnalysis& fa : analyses) {
@@ -353,18 +267,15 @@ int main(int argc, char** argv) {
     }
     out << "  ],\n  \"counts\": {\"active\": " << active
         << ", \"baselined\": " << baselined
-        << ", \"files_scanned\": " << files.size()
-        << ", \"files_analyzed\": " << analyzed
-        << ", \"files_cached\": " << cached << "}\n}\n";
+        << ", \"files_scanned\": " << files.size() << "}\n}\n";
   } else {
     for (const Finding& f : findings) {
       if (f.baselined) continue;
       std::cout << f.file << ":" << f.line << ": [" << f.rule << "] "
                 << f.message << "\n";
     }
-    std::cerr << "smst_lint: " << files.size() << " files ("
-              << analyzed << " analyzed, " << cached << " cached), "
-              << active << " finding(s), " << baselined << " baselined\n";
+    std::cerr << "smst_lint: " << files.size() << " files, " << active
+              << " finding(s), " << baselined << " baselined\n";
   }
   return active == 0 ? 0 : 1;
 }

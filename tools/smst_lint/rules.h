@@ -44,8 +44,7 @@ struct Finding {
   std::string rule;
   std::string message;
   // Whitespace-collapsed text of the source line, captured at analysis
-  // time — baseline keys hash this (baseline.h), and the cache stores it
-  // so cached findings re-key correctly without the source.
+  // time — baseline keys hash this (baseline.h).
   std::string norm_text;
   bool baselined = false;
 

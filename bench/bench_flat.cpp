@@ -1,13 +1,13 @@
-// Flat-engine throughput curve (google-benchmark): the coroutine
-// scheduler versus the flat batched-state-machine engine, serial and
+// Flat-engine throughput curve (google-benchmark): coroutine node
+// programs versus flat batched state machines, serial and
 // sharded, on identical work. Committed curve:
 // bench/baselines/BENCH_flat.json.
 //
 // Two workload families:
 //  * Dense rounds — every node awake and chattering on every port every
 //    round (the round engine's worst case, same as bench_sharded). This
-//    isolates per-node-round overhead: coroutine frame resume + scheduler
-//    heap traffic vs one virtual Step() into a flat program. The ISSUE's
+//    isolates per-node-round overhead: coroutine frame resume + inbox
+//    copy vs one virtual Step() into a flat program. The ISSUE's
 //    >=5x target is measured here.
 //  * MST end-to-end — Randomized-MST and Deterministic-MST lowered to
 //    their flat drivers (src/smst/mst/*_mst.cpp), so the curve also shows

@@ -1,4 +1,4 @@
-// Sharded-engine throughput (google-benchmark): the serial scheduler
+// Sharded-engine throughput (google-benchmark): the serial engine
 // versus the K-shard backend on identical work, at node counts past 10^6.
 //
 // The workload is the round engine's worst case — every node awake and

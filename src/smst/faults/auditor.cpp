@@ -122,13 +122,13 @@ void Auditor::CheckAwakeMeter(const Metrics& metrics) {
   }
   if (metered_awake != awake_node_rounds_) {
     Violate("awake-meter", metrics.LastRound(), kInvalidNode,
-            "scheduler metered " + std::to_string(metered_awake) +
+            "engine metered " + std::to_string(metered_awake) +
                 " awake node-rounds, auditor observed " +
                 std::to_string(awake_node_rounds_));
   }
   if (metered_drops != model_drops_) {
     Violate("awake-meter", metrics.LastRound(), kInvalidNode,
-            "scheduler metered " + std::to_string(metered_drops) +
+            "engine metered " + std::to_string(metered_drops) +
                 " model drops, auditor observed " +
                 std::to_string(model_drops_));
   }

@@ -1,7 +1,7 @@
 // Runtime invariant auditor for the sleeping-model CONGEST substrate.
 //
 // The Auditor is a pluggable checker layer that watches a run from the
-// scheduler's hooks and independently re-derives the model's invariants
+// round core's hooks and independently re-derives the model's invariants
 // every round:
 //
 //   congest-bits    no message exceeds the O(log n)-bit CONGEST budget
@@ -12,7 +12,7 @@
 //   asleep-send     no node sends in a round it is not awake in
 //   asleep-receive  no message is delivered to a sleeping node
 //   awake-meter     the auditor's own awake-node-round count matches the
-//                   scheduler's Metrics meter (CheckAwakeMeter)
+//                   engine's Metrics meter (CheckAwakeMeter)
 //   forest          fragment structure stays a forest: parent/child
 //                   symmetry, level = parent level + 1, no parent cycles
 //                   (CheckForest, fed LDT snapshots by the algorithms or
@@ -20,7 +20,7 @@
 //
 // Violations are recorded with round + node attribution (up to
 // Config::max_recorded, counted beyond that). The hooks are compiled
-// into the scheduler by default behind a null-pointer check and can be
+// into the round core by default behind a null-pointer check and can be
 // removed entirely with -DSMST_NO_AUDITOR=ON; Debug builds (and any
 // build configured with -DSMST_AUDIT=ON) install an auditor on every
 // Simulator by default, making every existing test a model-conformance
@@ -37,8 +37,6 @@
 #include "smst/sleeping/ldt.h"
 
 namespace smst {
-
-using Round = std::uint64_t;  // same alias as runtime/scheduler.h
 
 struct AuditViolation {
   std::string check;  // "congest-bits" | "asleep-send" | ... (see above)
@@ -63,7 +61,7 @@ class Auditor {
   explicit Auditor(const WeightedGraph& graph);
   Auditor(const WeightedGraph& graph, Config config);
 
-  // ---- scheduler hooks (observation only; cheap, branch-free inner) ---
+  // ---- round-core hooks (observation only; cheap, branch-free inner) ---
   void OnAwake(Round r, NodeIndex v);
   void OnSend(Round r, NodeIndex v, std::uint32_t port, const Message& m);
   void OnDeliver(Round r, NodeIndex src, NodeIndex dst, const Message& m);
@@ -71,7 +69,7 @@ class Auditor {
   void OnDrop(Round r, NodeIndex src, bool injected);
 
   // ---- cross-checks ---------------------------------------------------
-  // Compares the auditor's awake/drop meters against the scheduler's.
+  // Compares the auditor's awake/drop meters against the engine's.
   void CheckAwakeMeter(const Metrics& metrics);
   // Verifies the LDT forest invariant over a whole-graph snapshot,
   // attributing the first offending node. `when` labels the violation's

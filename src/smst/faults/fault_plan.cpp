@@ -1,6 +1,6 @@
 #include "smst/faults/fault_plan.h"
 
-#include <cstdlib>
+#include <charconv>
 #include <sstream>
 #include <stdexcept>
 
@@ -74,20 +74,32 @@ namespace {
 }
 
 double ParseProb(const std::string& item, const std::string& s) {
-  char* end = nullptr;
-  const double p = std::strtod(s.c_str(), &end);
+  // from_chars takes plain decimal/scientific notation only: no leading
+  // whitespace, sign or hex form, unlike strtod.
+  double p = 0;
+  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), p);
   // Written so that NaN ("drop=nan") fails the range test too.
-  if (end != s.c_str() + s.size() || !(p >= 0.0 && p <= 1.0)) {
+  if (ec != std::errc{} || end != s.data() + s.size() ||
+      !(p >= 0.0 && p <= 1.0)) {
     SpecError(item, "probability must be in [0, 1]");
   }
   return p;
 }
 
-std::uint64_t ParseUint(const std::string& item, const std::string& s) {
-  const auto v = ParsePlainDecimal(s);
-  if (!v) SpecError(item, "expected an unsigned integer, got '" + s + "'");
+std::uint64_t ParseUint(const std::string& item, const std::string& s,
+                        std::uint64_t max = ~std::uint64_t{0}) {
+  const auto v = ParsePlainDecimal(s, max);
+  if (!v) {
+    SpecError(item, "expected an unsigned integer up to " +
+                        std::to_string(max) + ", got '" + s + "'");
+  }
   return *v;
 }
+
+// Delay and jitter radius stay below 2^62, the default round watchdog:
+// no run can use more, and due-round / jitter-span arithmetic on them
+// then cannot overflow.
+constexpr std::uint64_t kMaxRoundOffset = (std::uint64_t{1} << 62) - 1;
 
 // kInvalidNode means "every node", so a real index stays below it.
 NodeIndex ParseNode(const std::string& item, const std::string& s) {
@@ -141,7 +153,7 @@ FaultPlan ParseFaultPlan(const std::string& spec) {
       rule.probability = ParseProb(item, value);
     } else if (key == "delay" || key == "jitter") {
       rule.kind = key == "delay" ? FaultKind::kDelay : FaultKind::kWakeJitter;
-      rule.param = ParseUint(item, value);
+      rule.param = ParseUint(item, value, kMaxRoundOffset);
       if (rule.param == 0) SpecError(item, key + " needs a positive value");
     } else if (key == "crash") {
       rule.kind = FaultKind::kCrash;

@@ -1,8 +1,8 @@
 // Deterministic fault-injection adversary for the sleeping-model runtime.
 //
 // A FaultPlan is a composable list of FaultRules installed on
-// SchedulerOptions and consulted at message-delivery and wake-registration
-// time. Every fault decision is a pure function of
+// SimulatorOptions and consulted by the round core at message-delivery
+// and wake-registration time. Every fault decision is a pure function of
 // (plan salt ^ run seed, rule index, event coordinates) hashed through
 // SplitMix64 — a counter-based PRNG stream dedicated to the adversary —
 // so a faulted run is bit-reproducible and replayable: the same plan and
@@ -31,14 +31,9 @@
 #include <vector>
 
 #include "smst/graph/graph.h"
+#include "smst/runtime/message.h"
 
 namespace smst {
-
-// Also defined (identically) in runtime/scheduler.h; redeclaring an alias
-// with the same type is well-formed and avoids a header cycle.
-using Round = std::uint64_t;
-
-inline constexpr Round kMaxRound = ~Round{0};
 
 enum class FaultKind : std::uint8_t {
   kDrop,
@@ -157,7 +152,7 @@ class FaultSession {
   Round CrashRound(NodeIndex node) const;
 
   const FaultStats& Stats() const { return stats_; }
-  // Mutation hooks for the scheduler's delayed-delivery bookkeeping.
+  // Mutation hooks for the round core's delayed-delivery bookkeeping.
   void CountDelayedDelivered() { ++stats_.delayed_delivered; }
   void CountDelayedLost() { ++stats_.delayed_lost; }
 

@@ -9,7 +9,7 @@
 //   kWrongResult       finished, but the output is not the MST (endpoint
 //                      disagreement, missing edges, or a failed exact
 //                      verification by the caller)
-//   kNonTermination    a bounded-run guard fired: the scheduler's round
+//   kNonTermination    a bounded-run guard fired: the engine's round
 //                      watchdog or an algorithm's phase cap
 //                      (NonTerminationError)
 //   kCrashedPartition  the run stalled short of completion: crash-stopped
@@ -26,7 +26,7 @@
 
 namespace smst {
 
-// Thrown by bounded-run guards: the scheduler's round watchdog and the
+// Thrown by bounded-run guards: the engine's round watchdog and the
 // algorithms' phase caps. Derives from std::runtime_error so existing
 // callers that expect the old type keep working.
 class NonTerminationError : public std::runtime_error {
@@ -66,7 +66,7 @@ struct RunOutcome {
   FaultStats faults;
   // Runtime-auditor summary, filled when an auditor observed the run:
   // its independently-metered awake node-rounds and model drops (cross-
-  // checked against the scheduler's Metrics) and any violations found.
+  // checked against the engine's Metrics) and any violations found.
   std::uint64_t audited_awake_node_rounds = 0;
   std::uint64_t audited_model_drops = 0;
   std::uint64_t audit_violations = 0;

@@ -42,12 +42,12 @@ MstRunResult ComputeMst(const WeightedGraph& g, MstAlgorithm algorithm,
 
 bool SupportsFlatEngine(MstAlgorithm algorithm, const MstOptions& options) {
   switch (algorithm) {
-    case MstAlgorithm::kRandomized:
-      return true;
     case MstAlgorithm::kDeterministic:
       return options.coloring == ColoringVariant::kFastAwake;
-    default:
+    case MstAlgorithm::kDeterministicLogStar:
       return false;
+    default:
+      return true;
   }
 }
 

@@ -17,11 +17,11 @@ MstRunResult ComputeMst(const WeightedGraph& g, MstAlgorithm algorithm,
                         const MstOptions& options = {});
 
 // True when the algorithm has a flat-engine lowering for these options
-// (MstOptions::engine == EngineMode::kFlat, DESIGN.md §13): the two
-// paper algorithms, the deterministic one only with the fast-awake
-// coloring. Running an unsupported combination throws (log*-coloring)
-// or would silently fall back to coroutines (GHS, BM spanning tree) —
-// callers offering an engine switch should check here first and be loud.
+// (MstOptions::engine == EngineMode::kFlat, DESIGN.md §13): every
+// algorithm except the deterministic one with the log*-coloring (GHS
+// baseline and BM spanning tree run the randomized engine's lowering).
+// Running the unsupported combination throws std::invalid_argument;
+// callers offering an engine switch can check here first.
 bool SupportsFlatEngine(MstAlgorithm algorithm, const MstOptions& options);
 
 }  // namespace smst

@@ -10,6 +10,7 @@
 #include "smst/mst/options.h"
 #include "smst/mst/result.h"
 #include "smst/runtime/node.h"
+#include "smst/runtime/trace.h"
 #include "smst/sleeping/ldt.h"
 #include "smst/sleeping/procedures.h"
 
@@ -21,9 +22,10 @@ enum class SelectionRule {
                    // weight tie-break) -> arbitrary spanning tree
 };
 
-// Runs the coin-flip GHS engine with the given selection rule.
+// Runs the coin-flip GHS engine with the given selection rule; `trace`
+// (serial runs only) receives the run's per-(node, awake round) events.
 MstRunResult RunGhsStyle(const WeightedGraph& g, const MstOptions& options,
-                         SelectionRule rule);
+                         SelectionRule rule, const TraceSink& trace = {});
 
 // This node's best outgoing-edge candidate under `rule` (absent if every
 // neighbor is in the same fragment). The item's `b` field always carries

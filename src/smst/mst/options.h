@@ -3,7 +3,6 @@
 
 #include <cstdint>
 
-#include "smst/runtime/scheduler.h"
 #include "smst/runtime/simulator.h"
 
 namespace smst {

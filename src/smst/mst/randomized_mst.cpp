@@ -227,7 +227,8 @@ Round FlatGhsProgram::Advance(NodeIndex v, FlatEnv& env,
 }
 
 MstRunResult RunEngine(const WeightedGraph& g, const MstOptions& options,
-                       detail::SelectionRule rule) {
+                       detail::SelectionRule rule,
+                       const TraceSink& trace = {}) {
   Shared sh;
   sh.g = &g;
   sh.rule = rule;
@@ -256,6 +257,7 @@ MstRunResult RunEngine(const WeightedGraph& g, const MstOptions& options,
   sim_options.shards = options.shards;
   sim_options.shard_policy = options.shard_policy;
   sim_options.engine = options.engine;
+  sim_options.trace = trace;
   const bool faulted =
       options.fault_plan != nullptr && !options.fault_plan->Empty();
   Simulator sim(g, sim_options);
@@ -415,8 +417,8 @@ MstRunResult RunRandomizedMst(const WeightedGraph& g,
 namespace detail {
 
 MstRunResult RunGhsStyle(const WeightedGraph& g, const MstOptions& options,
-                         SelectionRule rule) {
-  return RunEngine(g, options, rule);
+                         SelectionRule rule, const TraceSink& trace) {
+  return RunEngine(g, options, rule, trace);
 }
 
 }  // namespace detail

@@ -14,9 +14,10 @@
 //   co_await Awake(r, sends)       return r (sends already pushed)
 //   co_return                      return kFlatDone
 //
-// Engines call Start once per node (before round 1) and then Step each
-// time the node's requested round comes due, in the same canonical
-// ascending-node order as coroutine resumes — which is why a flat run is
+// The round core (flat/engine.h) calls Start once per node (before round
+// 1) and then Step each time the node's requested round comes due, in
+// canonical ascending-node order. Coroutine node programs run on it as
+// one more FlatProgram (CoroutineProgram), which is why a flat run is
 // bit-identical to the coroutine run of the same algorithm (DESIGN.md
 // §13). Exceptions thrown by Start/Step mark the node failed exactly
 // like a coroutine exception reaching the promise.
@@ -29,8 +30,6 @@
 #include "smst/runtime/metrics.h"
 
 namespace smst {
-
-using Round = std::uint64_t;
 
 // Sentinel return: the node's program finished (co_return equivalent).
 // Real awake rounds are >= 1, so 0 is unambiguous.
@@ -67,7 +66,7 @@ class FlatProgram {
 };
 
 // The node-local graph view a flat program sees: the same ID / degree /
-// port-weight queries NodeContext offers, without the scheduler handle.
+// port-weight queries NodeContext offers, without the awake mailbox.
 struct FlatNodeRef {
   const WeightedGraph* g = nullptr;
   NodeIndex v = kInvalidNode;

@@ -11,9 +11,15 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "smst/graph/graph.h"
 #include "smst/util/small_vec.h"
 
 namespace smst {
+
+// The synchronous round clock. Real awake rounds are >= 1; kMaxRound
+// stands for "never" (no pending wake, no crash).
+using Round = std::uint64_t;
+inline constexpr Round kMaxRound = ~Round{0};
 
 // Sentinel weight values used by the deterministic algorithm's validity
 // echo (the paper's ±infinity). They sit outside the generator weight
@@ -60,5 +66,25 @@ struct InMessage {
 inline constexpr std::size_t kInlineMessageCapacity = 4;
 using SendBatch = SmallVec<OutMessage, kInlineMessageCapacity>;
 using InboxBatch = SmallVec<InMessage, kInlineMessageCapacity>;
+
+// One routed message with its canonical identity: (birth_round, src,
+// batch_pos, copy) is the round it was sent in, its sender, its position
+// in the sender's send batch, and 0/1 for original versus adversary
+// duplicate. `due` = 0 means fresh (deliver in the current round iff the
+// receiver is awake); otherwise it is the absolute round an adversary-
+// delayed message falls due. The round core parks delayed messages in a
+// heap ordered by (due, identity), and the sharded exchange carries
+// cross-shard messages in this form, so drain order is a function of the
+// messages alone, never of which shard parked them (DESIGN.md §12).
+struct WireEntry {
+  NodeIndex src = kInvalidNode;
+  NodeIndex dst = kInvalidNode;
+  std::uint32_t dst_port = 0;
+  std::uint32_t batch_pos = 0;
+  Round due = 0;
+  Round birth_round = 0;
+  std::uint8_t copy = 0;
+  Message msg;
+};
 
 }  // namespace smst

@@ -1,6 +1,6 @@
 // Run metrics: the quantities the paper's Table 1 is about.
 //
-// The scheduler (not the algorithms) meters awake rounds, so an algorithm
+// The round core (not the algorithms) meters awake rounds, so an algorithm
 // cannot under-report its awake complexity. Probes are out-of-band
 // telemetry used by benches (e.g. fragment counts per phase); they do not
 // affect execution.

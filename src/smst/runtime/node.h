@@ -25,18 +25,30 @@
 #include "smst/graph/graph.h"
 #include "smst/runtime/message.h"
 #include "smst/runtime/metrics.h"
-#include "smst/runtime/scheduler.h"
 #include "smst/util/prng.h"
 
 namespace smst {
 
+// The hand-off between a suspending Awake and the engine stepping the
+// node (CoroutineProgram, runtime/coroutine_program.h). Before resuming
+// a frame the engine points `inbox`/`sends` at the node's slots and sets
+// `now`; the Awake the frame suspends at records its frame and round and
+// moves its sends into `*sends`.
+struct AwakeMailbox {
+  Round now = 0;
+  const InboxBatch* inbox = nullptr;
+  SendBatch* sends = nullptr;
+  std::coroutine_handle<> suspended;
+  Round next = 0;
+};
+
 class NodeContext {
  public:
   NodeContext(const WeightedGraph& graph, NodeIndex index,
-              Scheduler& scheduler, Metrics& metrics, Xoshiro256 rng)
+              AwakeMailbox& mailbox, Metrics& metrics, Xoshiro256 rng)
       : graph_(graph),
         index_(index),
-        scheduler_(scheduler),
+        mailbox_(mailbox),
         metrics_(metrics),
         rng_(std::move(rng)) {}
 
@@ -51,20 +63,22 @@ class NodeContext {
   Weight WeightAtPort(std::uint32_t port) const {
     return graph_.PortsOf(index_)[port].weight;
   }
-  Round CurrentRound() const { return scheduler_.CurrentRound(); }
+  Round CurrentRound() const { return mailbox_.now; }
   Xoshiro256& Rng() { return rng_; }
 
   // --- the model primitive ---------------------------------------------
   struct AwakeAwaiter {
     NodeContext* ctx;
-    PendingWake wake;
+    Round round;
+    SendBatch sends;
 
     bool await_ready() const noexcept { return false; }
-    void await_suspend(std::coroutine_handle<> h) {
-      wake.handle_address = h.address();
-      ctx->scheduler_.Register(&wake);
+    void await_suspend(std::coroutine_handle<> h) noexcept {
+      ctx->mailbox_.suspended = h;
+      ctx->mailbox_.next = round;
+      *ctx->mailbox_.sends = std::move(sends);
     }
-    InboxBatch await_resume() { return std::move(wake.inbox); }
+    InboxBatch await_resume() const { return *ctx->mailbox_.inbox; }
   };
 
   // Be awake in absolute round `round` (strictly after the current round)
@@ -73,8 +87,7 @@ class NodeContext {
   // stay inside the coroutine frame, so a typical awake allocates
   // nothing.
   AwakeAwaiter Awake(Round round, SendBatch sends = {}) {
-    return AwakeAwaiter{
-        this, PendingWake{index_, round, std::move(sends), {}, nullptr}};
+    return AwakeAwaiter{this, round, std::move(sends)};
   }
 
   // Single-send convenience. (Also sidesteps a GCC bug where a braced
@@ -104,7 +117,7 @@ class NodeContext {
  private:
   const WeightedGraph& graph_;
   NodeIndex index_;
-  Scheduler& scheduler_;
+  AwakeMailbox& mailbox_;
   Metrics& metrics_;
   Xoshiro256 rng_;
 };

@@ -1,41 +1,34 @@
 #include "smst/runtime/sharded/engine.h"
 
-#include <cassert>
-#include <coroutine>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
 
 #include "smst/faults/auditor.h"
-#include "smst/faults/run_outcome.h"
-#include "smst/util/prng.h"
-
-// Same convention as scheduler.cpp: auditor hooks are a null check by
-// default and vanish under -DSMST_NO_AUDITOR.
-#ifdef SMST_NO_AUDITOR
-#define SMST_SHARD_AUDIT(aud, call) ((void)0)
-#else
-#define SMST_SHARD_AUDIT(aud, call) \
-  do {                              \
-    if (aud) {                      \
-      (aud)->call;                  \
-    }                               \
-  } while (0)
-#endif
 
 namespace smst {
 
-ShardedEngine::Shard::Shard(const WeightedGraph& graph,
-                            const ShardedEngineOptions& options)
-    : metrics(graph.NumNodes()),
-      auditor(options.audit ? std::make_unique<Auditor>(graph) : nullptr),
-      scheduler(std::make_unique<Scheduler>(
-          graph, metrics,
-          SchedulerOptions{options.max_rounds, options.fault_plan,
-                           options.seed, auditor.get()})) {
-  if (options.record_wake_times) metrics.EnableWakeTimes();
+namespace {
+
+Metrics ShardMetrics(std::size_t num_nodes, bool record_wake_times) {
+  Metrics metrics(num_nodes);
+  if (record_wake_times) metrics.EnableWakeTimes();
+  return metrics;
 }
+
+}  // namespace
+
+ShardedEngine::Shard::Shard(const WeightedGraph& graph,
+                            const ShardedEngineOptions& options,
+                            const ShardPartition& partition, std::uint32_t s,
+                            FlatSlots& slots)
+    : metrics(ShardMetrics(graph.NumNodes(), options.record_wake_times)),
+      auditor(options.audit ? std::make_unique<Auditor>(graph) : nullptr),
+      core(graph, metrics,
+           FlatEngine::Options{options.max_rounds, options.fault_plan,
+                               options.seed, auditor.get(), {}},
+           &partition, s, &slots) {}
 
 ShardedEngine::ShardedEngine(const WeightedGraph& graph,
                              ShardedEngineOptions options)
@@ -43,6 +36,7 @@ ShardedEngine::ShardedEngine(const WeightedGraph& graph,
       options_(options),
       partition_(graph.NumNodes(), options.shards, options.policy),
       exchange_(partition_.NumShards()),
+      slots_(graph),
       merged_metrics_(graph.NumNodes()) {
   const std::uint32_t k = partition_.NumShards();
   // Slots only; each worker constructs its own Shard in ShardMain so
@@ -55,9 +49,10 @@ ShardedEngine::ShardedEngine(const WeightedGraph& graph,
 
 ShardedEngine::~ShardedEngine() {
   // Tear shards down on their own threads (one per shard, K > 1 only).
-  // Destroying a shard releases ~n/K coroutine frames and context
-  // chunks into the destroying thread's pool arena; doing that on
-  // per-shard reaper threads both parallelizes teardown and — because
+  // Destroying a shard's CoroutineProgram releases ~n/K coroutine frames
+  // and context chunks into the destroying thread's pool arena; doing
+  // that on per-shard reaper threads both parallelizes teardown and —
+  // because
   // each reaper donates its free lists to the pool registry on exit,
   // one donation entry per shard — leaves the blocks where the *next*
   // run's K workers each adopt an even share. Freeing on the main
@@ -102,11 +97,11 @@ void ShardedEngine::ExecuteImpl(const NodeProgram* coro, FlatProgram* flat) {
   for (const auto& shard : shards_) {
     if (!shard) continue;  // failed before constructing; see errors_
     merged_metrics_.MergeFrom(shard->metrics);
-    merged_faults_.MergeFrom(shard->scheduler->InjectedFaults());
+    merged_faults_.MergeFrom(shard->core.InjectedFaults());
   }
-  // Shard-level failures (watchdog, double registration, allocation
-  // failure) rethrow lowest-shard-first — deterministic, and for the
-  // watchdog identical on every shard anyway.
+  // Shard-level failures (watchdog, allocation failure) rethrow
+  // lowest-shard-first — deterministic, and for the watchdog identical on
+  // every shard anyway.
   for (const std::exception_ptr& e : errors_) {
     if (e) std::rethrow_exception(e);
   }
@@ -115,67 +110,7 @@ void ShardedEngine::ExecuteImpl(const NodeProgram* coro, FlatProgram* flat) {
 void ShardedEngine::ShardMain(std::uint32_t s, const NodeProgram* coro,
                               FlatProgram* flat) {
   try {
-    // Build this shard's state and spawn its node programs on the worker
-    // thread itself: the Metrics/Scheduler arrays, the contexts, and the
-    // coroutine frames are then allocated (and first-touched) by the
-    // thread that will use them, and the K shards set up in parallel.
-    // Each node's randomness is the same seed-derived substream the
-    // serial engine would hand it: Split is a pure function of
-    // (seed, node index).
-    shards_[s] = std::make_unique<Shard>(graph_, options_);
-    Shard& shard = *shards_[s];
-    shard.inbound.resize(partition_.NumShards());
-    const std::vector<NodeIndex>& local = partition_.NodesOf(s);
-    shard.cross_ports.assign(graph_.NumNodes(), 0);
-    for (NodeIndex v : local) {
-      for (const Port& port : graph_.PortsOf(v)) {
-        if (partition_.Owner(port.neighbor) != s) {
-          shard.cross_ports[v] = 1;
-          break;
-        }
-      }
-    }
-    if (flat != nullptr) {
-      // Flat form: one FlatRuntime drives this shard's partition of the
-      // shared program; its StartAll registers the same first wakes the
-      // coroutine spawn-then-Start two-pass would.
-      shard.flat = std::make_unique<FlatRuntime>(*shard.scheduler, *flat,
-                                                 shard.metrics, local);
-      shard.flat->StartAll();
-    } else {
-      Xoshiro256 root_rng(options_.seed);
-      shard.runners.reserve(local.size());
-      for (NodeIndex v : local) {
-        shard.contexts.emplace_back(graph_, v, *shard.scheduler,
-                                    shard.metrics, root_rng.Split(v));
-      }
-      for (NodeContext& ctx : shard.contexts) {
-        shard.runners.emplace_back((*coro)(ctx));
-      }
-      for (TaskRunner& r : shard.runners) r.Start();
-    }
-    for (;;) {
-      next_round_[s] = shard.scheduler->NextPendingRound();
-      barrier_->arrive_and_wait();  // completion computes global_round_
-      if (abort_.load(std::memory_order_acquire)) return;
-      const Round r = global_round_;
-      if (r == kMaxRound) break;  // every shard idle: clean stop
-      if (r > options_.max_rounds) {
-        // Same trip point and message as the serial engine; every shard
-        // throws this identically.
-        throw NonTerminationError("round watchdog tripped at round " +
-                                  std::to_string(r) + " (max " +
-                                  std::to_string(options_.max_rounds) + ")");
-      }
-      shard.scheduler->StageRound(r);  // possibly zero local wakers
-      CollectSends(s, r);
-      barrier_->arrive_and_wait();  // all sends published
-      if (abort_.load(std::memory_order_acquire)) return;
-      ReceiveAndResume(s, r);
-    }
-    // Clean stop: expire still-parked delayed messages so the model-drop
-    // books balance (mirrors the serial end-of-run drain).
-    shard.scheduler->DrainDelayed(kMaxRound);
+    RunShard(s, coro, flat);
   } catch (...) {
     errors_[s] = std::current_exception();
     // Release the others: the drop counts as this shard's arrival for
@@ -184,86 +119,113 @@ void ShardedEngine::ShardMain(std::uint32_t s, const NodeProgram* coro,
     abort_.store(true, std::memory_order_release);
     barrier_->arrive_and_drop();
   }
+  // Clean stop or abort alike: the merged meters must be complete.
+  if (shards_[s]) shards_[s]->core.FoldMetrics();
 }
 
-void ShardedEngine::CollectSends(std::uint32_t s, Round r) {
-  // Pre-barrier half of the round: publish the *cross-shard* sends to
-  // the exchange. Shard-local sends are handled entirely by this
-  // shard's own post-barrier scan (ReceiveAndResume), where they can
-  // interleave with remote arrivals in canonical source order —
-  // pushing them through a ring would only add copies.
-  //
-  // Each send is metered (count, bits, audit OnSend) in the phase that
-  // consumes it — cross-shard here, local in the delivery scan — so
-  // this pass stays a cheap read-only sweep when few edges cross
-  // shards. Metrics are commutative sums and the auditor's books are
-  // order-free within a round, so the split cannot change any total.
-  //
-  // Fault verdicts likewise fire exactly once per send (OnMessage
-  // counts what it injects): here for cross-shard sends, because a
-  // drop/delay/duplicate must be resolved before the entry goes on the
-  // wire, and in the delivery scan for local sends.
+void ShardedEngine::RunShard(std::uint32_t s, const NodeProgram* coro,
+                             FlatProgram* flat) {
+  // Build this shard's state — and, for coroutine runs, spawn its node
+  // programs — on the worker thread itself: the metrics and core lanes,
+  // the contexts, and the coroutine frames are then allocated (and
+  // first-touched) by the thread that will use them, and the K shards
+  // set up in parallel.
+  shards_[s] = std::make_unique<Shard>(graph_, options_, partition_, s, slots_);
   Shard& shard = *shards_[s];
-  Scheduler& sched = *shard.scheduler;
-  Auditor* const auditor = shard.auditor.get();
-  const bool faulty = sched.faults_.Active();
-  for (PendingWake* w : sched.round_wakers_) {
-    if (!shard.cross_ports[w->node]) continue;  // all ports internal
-    const Port* ports = graph_.PortsOf(w->node).data();
-    const std::uint32_t* reverse =
-        sched.reverse_ports_.data() + sched.port_offset_[w->node];
-    for (std::uint32_t bp = 0; bp < w->sends.size(); ++bp) {
-      const OutMessage& out = w->sends[bp];
-      const Port& port = ports[out.port];
-      const NodeIndex dst = port.neighbor;
+  shard.inbound.resize(partition_.NumShards());
+  shard.cross_ports.assign(graph_.NumNodes(), 0);
+  for (const NodeIndex v : partition_.NodesOf(s)) {
+    for (const Port& port : graph_.PortsOf(v)) {
+      if (partition_.Owner(port.neighbor) != s) {
+        shard.cross_ports[v] = 1;
+        break;
+      }
+    }
+  }
+  if (coro != nullptr) {
+    shard.coroutines = std::make_unique<CoroutineProgram>(
+        graph_, *coro, shard.metrics, options_.seed, &partition_, s);
+    flat = shard.coroutines.get();
+  }
+  FlatEngine& core = shard.core;
+  core.StartAll(*flat);
+  for (;;) {
+    next_round_[s] = core.NextPendingRound();
+    barrier_->arrive_and_wait();  // completion computes global_round_
+    if (abort_.load(std::memory_order_acquire)) return;
+    const Round r = global_round_;
+    if (r == kMaxRound) break;  // every shard idle: clean stop
+    core.CheckWatchdog(r);      // trips identically on every shard
+    core.StageRound(r);         // possibly zero local nodes
+    CollectSends(s);
+    barrier_->arrive_and_wait();  // all sends published
+    if (abort_.load(std::memory_order_acquire)) return;
+    ReceiveAndDeliver(s);
+    core.StepStaged(*flat);
+  }
+  // Clean stop: expire still-parked delayed messages so the model-drop
+  // books balance (mirrors the serial end-of-run drain).
+  core.DrainDelayed(kMaxRound);
+}
+
+void ShardedEngine::CollectSends(std::uint32_t s) {
+  // Pre-barrier half of the round: meter, judge and publish the
+  // *cross-shard* sends. Shard-local sends are handled entirely by the
+  // post-barrier scan, where they interleave with remote arrivals in
+  // canonical source order; each send is metered and judged exactly
+  // once, in the phase that routes it. Metrics are commutative sums and
+  // the auditor's books are order-free within a round, so the split
+  // cannot change any total.
+  Shard& shard = *shards_[s];
+  FlatEngine& core = shard.core;
+  const Round r = core.CurrentRound();
+  const std::vector<NodeIndex>& staged = core.Staged();
+  for (std::size_t wi = 0; wi < staged.size(); ++wi) {
+    const NodeIndex v = staged[wi];
+    if (!shard.cross_ports[v]) continue;  // all ports internal
+    const SendBatch& sends = slots_.sends[v];
+    const Port* ports = graph_.PortsOf(v).data();
+    const std::uint32_t* reverse = slots_.ReversePorts(v);
+    for (std::uint32_t bp = 0; bp < sends.size(); ++bp) {
+      const OutMessage& out = sends[bp];
+      const NodeIndex dst = ports[out.port].neighbor;
       const std::uint32_t to = partition_.Owner(dst);
       if (to == s) continue;  // metered and delivered post-barrier
-      NodeMetrics& nm = shard.metrics.Node(w->node);
-      ++nm.messages_sent;
-      const std::uint64_t bits = out.msg.BitSize();
-      nm.bits_sent += bits;
-      shard.metrics.RecordMessageBits(bits);
-      SMST_SHARD_AUDIT(auditor, OnSend(r, w->node, out.port, out.msg));
-      WireEntry e{w->node, dst,          reverse[out.port], bp,
-                  /*due=*/0, /*birth=*/r, /*copy=*/0,        out.msg};
-      if (faulty) {
-        const FaultSession::MessageVerdict verdict =
-            sched.faults_.OnMessage(w->node, out.port, r);
-        if (verdict.drop) {
-          SMST_SHARD_AUDIT(auditor, OnDrop(r, w->node, /*injected=*/true));
-          continue;
-        }
-        // A delayed entry carries its absolute due round; the receiver
-        // shard parks it. A duplicate is one extra adjacent copy, fresh
-        // or delayed alongside its original — exactly the serial
-        // scheduler's behaviour.
-        if (verdict.delay != 0) e.due = r + verdict.delay;
-        exchange_.Push(s, to, e);
-        if (verdict.duplicate) {
-          e.copy = 1;
-          exchange_.Push(s, to, e);
-        }
-        continue;
-      }
+      const FaultSession::MessageVerdict verdict = core.Judge(v, out, wi);
+      if (verdict.drop) continue;
+      // A delayed entry carries its absolute due round; the receiving
+      // core parks it. A duplicate is one extra adjacent copy, fresh or
+      // delayed alongside its original — exactly the serial behaviour.
+      WireEntry e{v,
+                  dst,
+                  reverse[out.port],
+                  bp,
+                  verdict.delay != 0 ? r + verdict.delay : 0,
+                  r,
+                  /*copy=*/0,
+                  out.msg};
       exchange_.Push(s, to, e);
+      if (verdict.duplicate) {
+        e.copy = 1;
+        exchange_.Push(s, to, e);
+      }
     }
   }
 }
 
-void ShardedEngine::ReceiveAndResume(std::uint32_t s, Round r) {
+void ShardedEngine::ReceiveAndDeliver(std::uint32_t s) {
   Shard& shard = *shards_[s];
-  Scheduler& sched = *shard.scheduler;
-  Auditor* const auditor = shard.auditor.get();
+  FlatEngine& core = shard.core;
 
   // Late arrivals first, exactly like the serial round: delayed messages
   // parked here fall due before this round's fresh sends, in canonical
   // key order.
-  sched.DrainDelayed(r);
+  core.DrainDelayed(core.CurrentRound());
 
   // Pull this shard's inbound streams (the self ring is never used:
   // local sends skip the exchange). Each producer emitted in ascending
   // (src, batch_pos, copy) order and shards own disjoint node sets, so
-  // stepping local wakers and remote stream heads by minimum source
+  // stepping local senders and remote stream heads by minimum source
   // reproduces the serial delivery loop's global order exactly.
   const std::uint32_t k = partition_.NumShards();
   for (std::uint32_t from = 0; from < k; ++from) {
@@ -272,8 +234,8 @@ void ShardedEngine::ReceiveAndResume(std::uint32_t s, Round r) {
   }
   std::vector<std::size_t>& pos = shard.merge_pos;
   pos.assign(k, 0);
-  const bool faulty = sched.faults_.Active();
-  std::size_t wi = 0;  // next local waker in sched.round_wakers_
+  const std::vector<NodeIndex>& staged = core.Staged();
+  std::size_t wi = 0;  // next local sender in staged
   for (;;) {
     std::uint32_t pick = k;
     NodeIndex best_src = kInvalidNode;
@@ -285,125 +247,13 @@ void ShardedEngine::ReceiveAndResume(std::uint32_t s, Round r) {
         best_src = src;
       }
     }
-    const bool local = wi < sched.round_wakers_.size() &&
-                       (pick == k || sched.round_wakers_[wi]->node < best_src);
-    if (local) {
-      // A local sender: run the serial delivery loop body for its batch.
-      // Cross-shard sends were metered and published pre-barrier;
-      // everything else — metering, verdict, delayed parking, drop
-      // accounting, delivery — happens here, bit-for-bit like
-      // scheduler.cpp's DeliverAndResume.
-      PendingWake* w = sched.round_wakers_[wi++];
-      NodeMetrics& nm = shard.metrics.Node(w->node);
-      const Port* ports = graph_.PortsOf(w->node).data();
-      const std::uint32_t* reverse =
-          sched.reverse_ports_.data() + sched.port_offset_[w->node];
-      for (std::uint32_t bp = 0; bp < w->sends.size(); ++bp) {
-        const OutMessage& out = w->sends[bp];
-        const Port& port = ports[out.port];
-        const NodeIndex dst = port.neighbor;
-        if (partition_.Owner(dst) != s) continue;  // already on the wire
-        ++nm.messages_sent;
-        const std::uint64_t bits = out.msg.BitSize();
-        nm.bits_sent += bits;
-        shard.metrics.RecordMessageBits(bits);
-        SMST_SHARD_AUDIT(auditor, OnSend(r, w->node, out.port, out.msg));
-        if (faulty) {
-          const FaultSession::MessageVerdict verdict =
-              sched.faults_.OnMessage(w->node, out.port, r);
-          if (verdict.drop) {
-            SMST_SHARD_AUDIT(auditor, OnDrop(r, w->node, /*injected=*/true));
-            continue;
-          }
-          if (verdict.delay != 0) {
-            sched.delayed_.push_back(
-                Scheduler::DelayedMessage{r + verdict.delay, r, w->node, bp,
-                                          /*copy=*/0, dst, reverse[out.port],
-                                          out.msg});
-            std::push_heap(sched.delayed_.begin(), sched.delayed_.end(),
-                           std::greater<>{});
-            if (verdict.duplicate) {
-              sched.delayed_.push_back(
-                  Scheduler::DelayedMessage{r + verdict.delay, r, w->node, bp,
-                                            /*copy=*/1, dst, reverse[out.port],
-                                            out.msg});
-              std::push_heap(sched.delayed_.begin(), sched.delayed_.end(),
-                             std::greater<>{});
-            }
-            continue;
-          }
-          PendingWake* target = sched.awake_now_[dst];
-          if (target == nullptr) {
-            ++nm.messages_dropped;
-            SMST_SHARD_AUDIT(auditor, OnDrop(r, w->node, /*injected=*/false));
-            continue;
-          }
-          target->inbox.push_back(InMessage{reverse[out.port], out.msg});
-          SMST_SHARD_AUDIT(auditor, OnDeliver(r, w->node, dst, out.msg));
-          if (verdict.duplicate) {
-            target->inbox.push_back(InMessage{reverse[out.port], out.msg});
-            SMST_SHARD_AUDIT(auditor, OnDeliver(r, w->node, dst, out.msg));
-          }
-          continue;
-        }
-        PendingWake* target = sched.awake_now_[dst];
-        if (target == nullptr) {
-          ++nm.messages_dropped;
-          SMST_SHARD_AUDIT(auditor, OnDrop(r, w->node, /*injected=*/false));
-          continue;
-        }
-        target->inbox.push_back(InMessage{reverse[out.port], out.msg});
-        SMST_SHARD_AUDIT(auditor, OnDeliver(r, w->node, dst, out.msg));
-      }
+    if (wi < staged.size() && (pick == k || staged[wi] < best_src)) {
+      core.DeliverFrom(staged[wi], wi);
+      ++wi;
       continue;
     }
     if (pick == k) break;
-    const WireEntry& e = shard.inbound[pick][pos[pick]++];
-    if (e.due != 0) {
-      // Adversary-delayed: park at the receiver under the canonical key.
-      sched.delayed_.push_back(Scheduler::DelayedMessage{
-          e.due, e.birth_round, e.src, e.batch_pos, e.copy, e.dst, e.dst_port,
-          e.msg});
-      std::push_heap(sched.delayed_.begin(), sched.delayed_.end(),
-                     std::greater<>{});
-      continue;
-    }
-    PendingWake* target = sched.awake_now_[e.dst];
-    if (target == nullptr) {
-      // Sleeping-model loss, charged to the sender. The charge lands in
-      // the *receiver* shard's metrics (only this shard knows the
-      // target slept); summation at merge time restores the per-node
-      // total. A fresh adversary duplicate (copy == 1) of a lost send is
-      // never materialized in the serial engine — the original's single
-      // drop is the only charge — so its wire entry vanishes silently.
-      if (e.copy == 0) {
-        ++shard.metrics.Node(e.src).messages_dropped;
-        SMST_SHARD_AUDIT(auditor, OnDrop(r, e.src, /*injected=*/false));
-      }
-      continue;
-    }
-    target->inbox.push_back(InMessage{e.dst_port, e.msg});
-    SMST_SHARD_AUDIT(auditor, OnDeliver(r, e.src, e.dst, e.msg));
-  }
-
-  // Resume in canonical (ascending node) order; all staged wakers are
-  // local, so this never touches another shard's coroutines.
-  for (PendingWake* w : sched.round_wakers_) {
-    sched.awake_now_[w->node] = nullptr;
-    NodeMetrics& nm = shard.metrics.Node(w->node);
-    ++nm.awake_rounds;
-    if (shard.metrics.WakeTimesEnabled()) nm.wake_times.push_back(r);
-    if (w->handle_address == nullptr) {
-      // Flat node: the shard's FlatRuntime (the scheduler's installed
-      // stepper) advances it in place; `w` stays valid — it lives in the
-      // runtime's stable slot, not a coroutine frame.
-      sched.flat_stepper_->Step(*w);
-      continue;
-    }
-    auto handle = std::coroutine_handle<>::from_address(w->handle_address);
-    // After resume(), `w` may dangle (the frame advanced past the
-    // awaitable); do not touch it again.
-    handle.resume();
+    core.Receive(shard.inbound[pick][pos[pick]++]);
   }
 }
 
@@ -414,19 +264,9 @@ void ShardedEngine::MergeMetricsInto(Metrics& target) const {
 std::uint64_t ShardedEngine::CountUnfinished() const {
   std::uint64_t unfinished = 0;
   for (std::uint32_t s = 0; s < shards_.size(); ++s) {
-    const Shard* shard = shards_[s].get();
-    if (shard == nullptr) {
-      // Failed before constructing: every local node is unfinished.
-      unfinished += partition_.NodesOf(s).size();
-      continue;
-    }
-    if (shard->flat) {
-      unfinished += shard->flat->CountUnfinished();
-      continue;
-    }
-    for (const TaskRunner& r : shard->runners) {
-      if (!r.Done()) ++unfinished;
-    }
+    // A shard that failed before constructing left every node unfinished.
+    unfinished += shards_[s] ? shards_[s]->core.CountUnfinished()
+                             : partition_.NodesOf(s).size();
   }
   return unfinished;
 }
@@ -434,17 +274,7 @@ std::uint64_t ShardedEngine::CountUnfinished() const {
 NodeIndex ShardedEngine::FirstUnfinishedNode() const {
   for (NodeIndex v = 0; v < graph_.NumNodes(); ++v) {
     const Shard* shard = shards_[partition_.Owner(v)].get();
-    const std::uint32_t i = partition_.LocalIndex(v);
-    // A shard that aborted before spawning (or constructing) has no
-    // runners; treat its nodes as unfinished.
-    if (shard == nullptr) return v;
-    if (shard->flat) {
-      if (!shard->flat->DoneAt(i)) return v;
-      continue;
-    }
-    if (i >= shard->runners.size() || !shard->runners[i].Done()) {
-      return v;
-    }
+    if (shard == nullptr || !shard->core.Done(v)) return v;
   }
   return kInvalidNode;
 }
@@ -452,13 +282,7 @@ NodeIndex ShardedEngine::FirstUnfinishedNode() const {
 void ShardedEngine::RethrowFirstNodeFailure() const {
   for (NodeIndex v = 0; v < graph_.NumNodes(); ++v) {
     const Shard* shard = shards_[partition_.Owner(v)].get();
-    if (shard == nullptr) continue;
-    const std::uint32_t i = partition_.LocalIndex(v);
-    if (shard->flat) {
-      shard->flat->RethrowIfFailedAt(i);
-      continue;
-    }
-    if (i < shard->runners.size()) shard->runners[i].RethrowIfFailed();
+    if (shard != nullptr) shard->core.RethrowIfFailed(v);
   }
 }
 

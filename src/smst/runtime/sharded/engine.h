@@ -1,25 +1,28 @@
 // Sharded multi-worker backend for the sleeping-model simulator.
 //
 // The node set is partitioned into K shards; each shard worker thread
-// owns a full Scheduler instance (wake heap, delayed-message parking,
-// fault session, optional auditor) plus the coroutines and metrics of
-// its nodes. A round proceeds in barrier-separated phases:
+// owns one round core (runtime/flat/engine.h: wake queue, delayed-message
+// parking, fault session, optional auditor) over its nodes, plus — for
+// coroutine runs — the CoroutineProgram holding its nodes' frames, and
+// its own metrics. The cores share one set of per-node mail slots, each
+// touching only its own nodes' entries. A round proceeds in
+// barrier-separated phases:
 //
 //   select   every shard publishes NextPendingRound(); the barrier's
 //            completion reduces them to the global round R = min
-//   stage    each shard stages its round-R wakers (canonical ascending
+//   stage    each core stages its round-R nodes (canonical ascending
 //            node order) and marks them awake
-//   collect  each shard meters its nodes' sends and publishes the
-//            *cross-shard* ones (fault verdicts applied sender-side)
-//            through the ShardExchange; shard-local sends wait for the
-//            delivery scan
+//   collect  each shard meters its nodes' *cross-shard* sends and
+//            publishes them (fault verdicts applied sender-side) through
+//            the ShardExchange; shard-local sends wait for the delivery
+//            scan
 //   barrier
-//   receive  each shard drains its delayed heap for round R, then runs
-//            one scan that steps its local wakers and its remote inbound
-//            streams in ascending source order — delivering local sends
-//            directly (serial loop body, one copy) and remote entries to
-//            awake targets (charging model drops receiver-side)
-//   resume   each shard resumes its wakers in ascending node order
+//   receive  each core drains its delayed heap for round R, then one
+//            scan steps its local senders and its remote inbound streams
+//            in ascending source order — local senders through the
+//            core's per-sender delivery (the serial body), remote entries
+//            to awake targets (charging model drops receiver-side)
+//   step     each core steps its staged nodes in ascending node order
 //
 // Determinism: round staging order is canonical, fault verdicts are pure
 // hashes of event coordinates, per-shard metrics/fault counters merge by
@@ -36,9 +39,7 @@
 #include <atomic>
 #include <barrier>
 #include <cstdint>
-#include <deque>
 #include <exception>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -46,14 +47,11 @@
 
 #include "smst/faults/fault_plan.h"
 #include "smst/graph/graph.h"
-#include "smst/runtime/flat/runtime.h"
-#include "smst/runtime/frame_pool.h"
+#include "smst/runtime/coroutine_program.h"
+#include "smst/runtime/flat/engine.h"
 #include "smst/runtime/metrics.h"
-#include "smst/runtime/node.h"
-#include "smst/runtime/scheduler.h"
 #include "smst/runtime/sharded/exchange.h"
 #include "smst/runtime/sharded/partition.h"
-#include "smst/runtime/task.h"
 
 namespace smst {
 
@@ -71,24 +69,21 @@ struct ShardedEngineOptions {
 
 class ShardedEngine {
  public:
-  using NodeProgram = std::function<Task<void>(NodeContext&)>;
-
   ShardedEngine(const WeightedGraph& graph, ShardedEngineOptions options);
   ~ShardedEngine();
 
   // Runs every node program to completion (or abort). Shard-level
-  // failures (round watchdog, double registration) rethrow here, lowest
-  // shard index first; node-program failures are left in their promises
-  // for RethrowFirstNodeFailure. Per-shard metrics and fault counters
-  // are merged (in shard order) before any rethrow, so callers observe
-  // a consistent aborted state. May be called once.
+  // failures (round watchdog, allocation failure) rethrow here, lowest
+  // shard index first; node-program failures are captured per node for
+  // RethrowFirstNodeFailure. Per-shard metrics and fault counters are
+  // merged (in shard order) before any rethrow, so callers observe a
+  // consistent aborted state. May be called once.
   void Execute(const NodeProgram& program);
 
-  // Flat twin of Execute: each shard drives its partition of `program`
-  // through a scheduler-backed FlatRuntime instead of coroutines. The
-  // single program instance is shared across worker threads — safe
-  // because shards own disjoint node sets and flat programs keep all
-  // mutable state in per-node slots (runtime/flat/program.h).
+  // Flat twin of Execute. The single program instance is shared across
+  // worker threads — safe because shards own disjoint node sets and flat
+  // programs keep all mutable state in per-node slots
+  // (runtime/flat/program.h).
   void ExecuteFlat(FlatProgram& program);
 
   // --- post-run views (valid after Execute, even if it threw) ----------
@@ -120,20 +115,14 @@ class ShardedEngine {
 
  private:
   struct Shard {
-    Shard(const WeightedGraph& graph, const ShardedEngineOptions& options);
+    Shard(const WeightedGraph& graph, const ShardedEngineOptions& options,
+          const ShardPartition& partition, std::uint32_t s, FlatSlots& slots);
 
-    Metrics metrics;                     // full-size; merged by summation
-    std::unique_ptr<Auditor> auditor;    // before scheduler: it borrows it
-    std::unique_ptr<Scheduler> scheduler;
-    // Contexts must be address-stable (coroutines hold references). The
-    // deque's chunks come from the frame pool: this container grows on
-    // the worker thread, where plain malloc is arena-growth-bound (see
-    // frame_pool.cpp), and a chunked pool-backed deque sidesteps that.
-    std::deque<NodeContext, FramePoolAllocator<NodeContext>> contexts;
-    std::vector<TaskRunner> runners;  // parallel to partition NodesOf
-    // Flat-engine runs own a FlatRuntime instead of contexts/runners
-    // (also parallel to partition NodesOf); exactly one form is live.
-    std::unique_ptr<FlatRuntime> flat;
+    Metrics metrics;                   // full-size; merged by summation
+    std::unique_ptr<Auditor> auditor;  // before core: it borrows it
+    FlatEngine core;
+    // Coroutine runs only: this shard's nodes' frames.
+    std::unique_ptr<CoroutineProgram> coroutines;
     // Consumer-side scratch, reused every round: one inbound buffer per
     // producer shard, plus the merge cursors over those buffers.
     std::vector<std::vector<WireEntry>> inbound;
@@ -148,11 +137,12 @@ class ShardedEngine {
   };
 
   // Shared Execute/ExecuteFlat body; exactly one of the programs is
-  // non-null and selects what ShardMain spawns per shard.
+  // non-null.
   void ExecuteImpl(const NodeProgram* coro, FlatProgram* flat);
   void ShardMain(std::uint32_t s, const NodeProgram* coro, FlatProgram* flat);
-  void CollectSends(std::uint32_t s, Round r);
-  void ReceiveAndResume(std::uint32_t s, Round r);
+  void RunShard(std::uint32_t s, const NodeProgram* coro, FlatProgram* flat);
+  void CollectSends(std::uint32_t s);
+  void ReceiveAndDeliver(std::uint32_t s);
 
   // Barrier completion: reduce the published per-shard next rounds to
   // the global round. Runs exactly once per barrier phase, on the last
@@ -170,9 +160,10 @@ class ShardedEngine {
   ShardedEngineOptions options_;
   ShardPartition partition_;
   ShardExchange exchange_;
+  FlatSlots slots_;  // shared by the shard cores
   // Slot s is constructed by worker s itself (ShardMain), not in the
-  // engine constructor: the O(n)-sized Metrics and Scheduler arrays are
-  // then built in parallel and first-touched by their owner thread.
+  // engine constructor: the O(n)-sized Metrics and core lanes are then
+  // built in parallel and first-touched by their owner thread.
   // Null after Execute only if that shard failed before constructing;
   // its exception is in errors_[s]. The join in Execute orders every
   // slot's write before the main thread's reads.

@@ -29,29 +29,6 @@
 
 namespace smst {
 
-// Same alias as runtime/scheduler.h; redeclaring it identically avoids
-// pulling the whole scheduler header into the wire format.
-using Round = std::uint64_t;
-
-// One message on the wire between shards. `due` = 0 means fresh (deliver
-// in the current round iff the destination is awake); otherwise it is the
-// absolute round an adversary-delayed message falls due, and the consumer
-// parks it in its delayed heap. (birth_round, src, batch_pos, copy) is
-// the message's canonical identity: the round it was sent, its sender,
-// its position in the sender's send batch, and 0/1 for original versus
-// adversary duplicate. The delayed heap orders by exactly this key, so
-// drain order is shard-count-invariant.
-struct WireEntry {
-  NodeIndex src = kInvalidNode;
-  NodeIndex dst = kInvalidNode;
-  std::uint32_t dst_port = 0;
-  std::uint32_t batch_pos = 0;
-  Round due = 0;
-  Round birth_round = 0;
-  std::uint8_t copy = 0;
-  Message msg;
-};
-
 // Bounded single-producer single-consumer ring with an unbounded spill.
 // Push never blocks: when the ring is full the entry goes to the spill
 // vector, which the consumer reads only after the round barrier.

@@ -1,12 +1,10 @@
 #include "smst/runtime/simulator.h"
 
-#include <numeric>
 #include <stdexcept>
 #include <string>
 
 #include "smst/faults/auditor.h"
 #include "smst/runtime/flat/engine.h"
-#include "smst/runtime/flat/runtime.h"
 #include "smst/runtime/sharded/engine.h"
 
 namespace smst {
@@ -32,16 +30,6 @@ bool WantAuditor(AuditMode mode) {
 #endif
 }
 
-SchedulerOptions MakeSchedulerOptions(const SimulatorOptions& o,
-                                      Auditor* auditor) {
-  SchedulerOptions s;
-  s.max_rounds = o.max_rounds;
-  s.fault_plan = o.fault_plan;
-  s.run_seed = o.seed;
-  s.auditor = auditor;
-  return s;
-}
-
 }  // namespace
 
 const char* EngineModeName(EngineMode mode) {
@@ -62,14 +50,6 @@ EngineMode ParseEngineMode(const std::string& name) {
 Simulator::Simulator(const WeightedGraph& graph, SimulatorOptions options)
     : graph_(graph), options_(std::move(options)), metrics_(graph.NumNodes()) {
   if (options_.record_wake_times) metrics_.EnableWakeTimes();
-  if (options_.engine == EngineMode::kFlat && options_.trace) {
-    // TraceEvent is defined per coroutine resume (per-wake send/inbox
-    // counts at suspension points); a flat node has no such points, so
-    // reject the combination loudly rather than emit a stream with
-    // different meaning.
-    throw std::invalid_argument(
-        "tracing requires the coroutine engine (--engine coroutine)");
-  }
   if (options_.shards > 0) {
     if (options_.trace) {
       // A sender's model-drop counts are only known receiver-side after
@@ -92,80 +72,39 @@ Simulator::Simulator(const WeightedGraph& graph, SimulatorOptions options)
   }
   auditor_ = WantAuditor(options_.audit) ? std::make_unique<Auditor>(graph)
                                          : nullptr;
-  scheduler_ = std::make_unique<Scheduler>(
-      graph, metrics_, MakeSchedulerOptions(options_, auditor_.get()));
-  if (options_.trace) scheduler_->SetTraceSink(options_.trace);
+  core_ = std::make_unique<FlatEngine>(
+      graph, metrics_,
+      FlatEngine::Options{options_.max_rounds, options_.fault_plan,
+                          options_.seed, auditor_.get(), options_.trace});
 }
 
 Simulator::~Simulator() = default;
 
 const FaultStats& Simulator::InjectedFaults() const {
-  return sharded_ ? sharded_->InjectedFaults() : scheduler_->InjectedFaults();
+  return sharded_ ? sharded_->InjectedFaults() : core_->InjectedFaults();
 }
 
-void Simulator::Execute(const NodeProgram& program) {
+void Simulator::Execute(const NodeProgram* coro, FlatProgram* flat) {
   if (ran_) throw std::logic_error("Simulator may run only once");
   ran_ = true;
-  if (options_.engine != EngineMode::kCoroutine) {
+  if (coro != nullptr && options_.engine != EngineMode::kCoroutine) {
     throw std::logic_error(
         "SimulatorOptions::engine is flat; drive the run with the "
         "FlatProgram overload");
   }
-
-  if (sharded_) {
-    // The engine owns the per-shard contexts and runners; it merges the
-    // per-shard metrics into its totals before rethrowing shard-level
-    // failures, so metrics_ is consistent on every exit path.
-    try {
-      sharded_->Execute(program);
-    } catch (...) {
-      sharded_->MergeMetricsInto(metrics_);
-      throw;
-    }
-    sharded_->MergeMetricsInto(metrics_);
-    sharded_->RethrowFirstNodeFailure();
-    return;
-  }
-
-  Xoshiro256 root_rng(options_.seed);
-  runners_.reserve(graph_.NumNodes());
-  for (NodeIndex v = 0; v < graph_.NumNodes(); ++v) {
-    // Each node's private randomness is a substream keyed by its index so
-    // runs are reproducible regardless of scheduling order.
-    contexts_.emplace_back(graph_, v, *scheduler_, metrics_,
-                           root_rng.Split(v));
-  }
-  for (NodeIndex v = 0; v < graph_.NumNodes(); ++v) {
-    runners_.emplace_back(program(contexts_[v]));
-  }
-  // Start after all tasks exist: a program may run to completion
-  // immediately, and starting in a second pass keeps round-1 sends of all
-  // nodes registered before the first round executes.
-  for (TaskRunner& r : runners_) r.Start();
-
-  scheduler_->RunUntilIdle();
-
-  // Rethrow failures before the never-finished check: a node that threw
-  // (e.g. Scheduler::Register rejecting a bad wake from inside the Awake
-  // suspend path) is the root cause, and peers it stranded mid-protocol
-  // must not mask it with the generic error below.
-  for (NodeIndex v = 0; v < graph_.NumNodes(); ++v) {
-    runners_[v].RethrowIfFailed();
-  }
-}
-
-void Simulator::ExecuteFlat(FlatProgram& program) {
-  if (ran_) throw std::logic_error("Simulator may run only once");
-  ran_ = true;
-  if (options_.engine != EngineMode::kFlat) {
+  if (flat != nullptr && options_.engine != EngineMode::kFlat) {
     throw std::logic_error(
         "SimulatorOptions::engine is coroutine; drive the run with the "
         "NodeProgram overload");
   }
 
   if (sharded_) {
+    // The engine owns the per-shard cores and programs; it merges the
+    // per-shard metrics into its totals before rethrowing shard-level
+    // failures, so metrics_ is consistent on every exit path.
     try {
-      sharded_->ExecuteFlat(program);
+      if (coro != nullptr) sharded_->Execute(*coro);
+      else sharded_->ExecuteFlat(*flat);
     } catch (...) {
       sharded_->MergeMetricsInto(metrics_);
       throw;
@@ -175,47 +114,26 @@ void Simulator::ExecuteFlat(FlatProgram& program) {
     return;
   }
 
-  const bool faulted =
-      options_.fault_plan != nullptr && !options_.fault_plan->Empty();
-  if (!auditor_ && !faulted) {
-    // Nothing observes the event stream (no auditor, no adversary, no
-    // trace — rejected in the constructor), so the run can use the
-    // batched fast engine instead of the scheduler (DESIGN.md §13).
-    flat_engine_ = std::make_unique<FlatEngine>(graph_, metrics_, *scheduler_,
-                                                options_.max_rounds);
-    flat_engine_->Run(program);
-    flat_engine_->RethrowFirstFailure();
-    return;
+  if (coro != nullptr) {
+    coroutines_ = std::make_unique<CoroutineProgram>(graph_, *coro, metrics_,
+                                                     options_.seed);
+    flat = coroutines_.get();
   }
-
-  std::vector<NodeIndex> nodes(graph_.NumNodes());
-  std::iota(nodes.begin(), nodes.end(), NodeIndex{0});
-  flat_runtime_ = std::make_unique<FlatRuntime>(*scheduler_, program,
-                                                metrics_, std::move(nodes));
-  flat_runtime_->StartAll();
-  scheduler_->RunUntilIdle();
-  flat_runtime_->RethrowFirstFailure();
+  core_->Run(*flat);
+  // Rethrow failures before the never-finished check: a node that threw
+  // (e.g. a bad wake request rejected at registration) is the root
+  // cause, and peers it stranded mid-protocol must not mask it with the
+  // generic error FinishRun raises.
+  core_->RethrowFirstFailure();
 }
 
 std::uint64_t Simulator::CountUnfinished() const {
-  if (sharded_) return sharded_->CountUnfinished();
-  if (flat_engine_) return flat_engine_->CountUnfinished();
-  if (flat_runtime_) return flat_runtime_->CountUnfinished();
-  std::uint64_t unfinished = 0;
-  for (const TaskRunner& r : runners_) {
-    if (!r.Done()) ++unfinished;
-  }
-  return unfinished;
+  return sharded_ ? sharded_->CountUnfinished() : core_->CountUnfinished();
 }
 
 NodeIndex Simulator::FirstUnfinishedNode() const {
-  if (sharded_) return sharded_->FirstUnfinishedNode();
-  if (flat_engine_) return flat_engine_->FirstUnfinishedNode();
-  if (flat_runtime_) return flat_runtime_->FirstUnfinishedNode();
-  for (NodeIndex v = 0; v < graph_.NumNodes(); ++v) {
-    if (!runners_[v].Done()) return v;
-  }
-  return kInvalidNode;
+  return sharded_ ? sharded_->FirstUnfinishedNode()
+                  : core_->FirstUnfinishedNode();
 }
 
 Simulator::AuditSummary Simulator::Audit() const {
@@ -267,12 +185,12 @@ void Simulator::FinishRun() {
 }
 
 void Simulator::Run(const NodeProgram& program) {
-  Execute(program);
+  Execute(&program, nullptr);
   FinishRun();
 }
 
 void Simulator::Run(FlatProgram& program) {
-  ExecuteFlat(program);
+  Execute(nullptr, &program);
   FinishRun();
 }
 
@@ -320,7 +238,7 @@ RunOutcome Simulator::FinishOutcome(RunOutcome out) {
 RunOutcome Simulator::RunToOutcome(const NodeProgram& program) {
   RunOutcome out;
   try {
-    Execute(program);
+    Execute(&program, nullptr);
   } catch (...) {
     ClassifyFailure(out);
   }
@@ -330,7 +248,7 @@ RunOutcome Simulator::RunToOutcome(const NodeProgram& program) {
 RunOutcome Simulator::RunToOutcome(FlatProgram& program) {
   RunOutcome out;
   try {
-    ExecuteFlat(program);
+    Execute(nullptr, &program);
   } catch (...) {
     ClassifyFailure(out);
   }

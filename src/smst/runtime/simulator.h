@@ -4,31 +4,30 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <memory>
 #include <string>
 
 #include "smst/faults/fault_plan.h"
 #include "smst/faults/run_outcome.h"
 #include "smst/graph/graph.h"
+#include "smst/runtime/coroutine_program.h"
 #include "smst/runtime/flat/program.h"
 #include "smst/runtime/metrics.h"
 #include "smst/runtime/node.h"
 #include "smst/runtime/sharded/partition.h"
 #include "smst/runtime/task.h"
+#include "smst/runtime/trace.h"
 
 namespace smst {
 
 class Auditor;
 class ShardedEngine;
 class FlatEngine;
-class FlatRuntime;
 
-// Which execution engine runs the node programs. kCoroutine drives one
-// coroutine per node (the NodeProgram overloads); kFlat drives a batched
-// FlatProgram state machine (the FlatProgram overloads) with
-// bit-identical results (DESIGN.md §13). The option must match the
+// Which form the node programs take. kCoroutine runs one coroutine per
+// node (the NodeProgram overloads); kFlat a batched FlatProgram state
+// machine (the FlatProgram overloads). Both run on the same round core
+// with bit-identical results (DESIGN.md §13). The option must match the
 // overload used — the mismatch is a logic_error.
 enum class EngineMode : std::uint8_t { kCoroutine, kFlat };
 
@@ -52,25 +51,20 @@ struct SimulatorOptions {
   // Optional per-(node, awake round) event sink; see runtime/trace.h.
   TraceSink trace;
   // Borrowed fault plan (null or empty = fault-free run); consulted by
-  // the scheduler at delivery and wake-registration time.
+  // the round core at delivery and wake-registration time.
   const FaultPlan* fault_plan = nullptr;
   AuditMode audit = AuditMode::kDefault;
   // Sharded multi-worker backend: 0 = serial engine (default); K >= 1
   // partitions the nodes over K worker threads (clamped to n), each with
-  // its own Scheduler, exchanging message batches at round barriers.
+  // its own round core, exchanging message batches at round barriers.
   // Results, metrics, and outcomes are bit-identical to the serial
   // engine for every K (DESIGN.md §12). `trace` is serial-only.
   std::uint32_t shards = 0;
   ShardPolicy shard_policy = ShardPolicy::kContiguousBlocks;
-  // Execution engine; kFlat requires driving the run with the
-  // FlatProgram overloads of Run/RunToOutcome. `trace` is
-  // coroutine-only (events are defined per coroutine resume), rejected
-  // loudly in the constructor like trace+shards.
+  // Program form; kFlat requires driving the run with the FlatProgram
+  // overloads of Run/RunToOutcome.
   EngineMode engine = EngineMode::kCoroutine;
 };
-
-// A node program: the algorithm one node runs. Must eventually finish.
-using NodeProgram = std::function<Task<void>(NodeContext&)>;
 
 class Simulator {
  public:
@@ -119,15 +113,11 @@ class Simulator {
   AuditSummary Audit() const;
 
  private:
-  // Shared body of Run/RunToOutcome: spawn, start, run until idle,
-  // rethrow the first failed node program.
-  void Execute(const NodeProgram& program);
-  // Flat twin of Execute: picks the fault-free fast engine
-  // (runtime/flat/engine.h) when nothing observes the event stream, the
-  // scheduler-backed FlatRuntime otherwise, or hands the program to the
-  // sharded engine.
-  void ExecuteFlat(FlatProgram& program);
-  // Post-Execute tail shared by the coroutine and flat overloads.
+  // Shared body of every Run/RunToOutcome overload (exactly one program
+  // is non-null): a coroutine program is wrapped in a CoroutineProgram,
+  // then the serial core or the sharded engine runs the run, and the
+  // first failed node program is rethrown.
+  void Execute(const NodeProgram* coro, FlatProgram* flat);
   void FinishRun();
   RunOutcome FinishOutcome(RunOutcome out);
   // Classifies the in-flight exception into `out` (rethrows logic_error).
@@ -139,20 +129,13 @@ class Simulator {
   const WeightedGraph& graph_;
   SimulatorOptions options_;
   Metrics metrics_;
-  std::unique_ptr<Auditor> auditor_;  // before scheduler_: it borrows it
-  // Exactly one engine exists per Simulator: the serial scheduler, or
+  std::unique_ptr<Auditor> auditor_;  // before core_: it borrows it
+  // Exactly one engine exists per Simulator: the serial round core, or
   // the sharded multi-worker backend when options.shards >= 1.
-  std::unique_ptr<Scheduler> scheduler_;
+  std::unique_ptr<FlatEngine> core_;
   std::unique_ptr<ShardedEngine> sharded_;
-  // Serial-engine state. Contexts must be address-stable across the run
-  // (coroutines hold references); a deque keeps elements pinned while
-  // growing without one heap allocation per node. In sharded mode the
-  // engine owns the per-shard equivalents.
-  std::deque<NodeContext> contexts_;
-  std::vector<TaskRunner> runners_;
-  // Flat-engine state (at most one is live, per ExecuteFlat's choice).
-  std::unique_ptr<FlatRuntime> flat_runtime_;
-  std::unique_ptr<FlatEngine> flat_engine_;
+  // Serial coroutine runs: every node's frame.
+  std::unique_ptr<CoroutineProgram> coroutines_;
   // Filled by Run/RunToOutcome after a sharded run (the shard auditors'
   // CheckAwakeMeter cross-check runs exactly once, there).
   AuditSummary sharded_audit_;

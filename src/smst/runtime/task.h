@@ -2,7 +2,7 @@
 //
 // Node programs read like the paper's pseudocode: a top-level coroutine
 // per node that `co_await`s sub-procedures (themselves Task<T>) and, at
-// the leaves, the scheduler's Awake awaitable. Task<T> is lazy (starts on
+// the leaves, NodeContext's Awake awaitable. Task<T> is lazy (starts on
 // first await/Start), single-consumer, move-only, and chains completion to
 // its awaiter with symmetric transfer, so arbitrarily deep procedure
 // nesting costs no stack.
@@ -156,8 +156,8 @@ class [[nodiscard]] Task<void> {
   Handle handle_;
 };
 
-// Drives top-level (per-node) tasks from non-coroutine code: the
-// simulator Starts each program, the scheduler resumes leaf awaitables,
+// Drives top-level (per-node) tasks from non-coroutine code:
+// CoroutineProgram Starts each task (and resumes leaf awaitables itself),
 // and Done/RethrowIfFailed observe completion.
 class TaskRunner {
  public:

@@ -19,7 +19,7 @@
 
 #include <cstdint>
 
-#include "smst/runtime/scheduler.h"
+#include "smst/runtime/message.h"
 
 namespace smst {
 

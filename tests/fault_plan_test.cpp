@@ -74,7 +74,13 @@ TEST(FaultPlanParseTest, RejectsMalformedItems) {
        {"jitter=-2", "delay=-3", "crash=-1", "salt=-1", "delay=+3",
         "delay= 3", "jitter=0x10", "salt=99999999999999999999",
         "drop=0.5@4294967296", "drop=0.5@4294967295", "drop=0.5@-1",
-        "drop=nan", "delay=2:nan"}) {
+        "drop=nan", "delay=2:nan",
+        // Offsets at or past 2^62 (the default watchdog) would wrap the
+        // jitter span or overflow its negation; strtod-only number forms
+        // (hex floats, leading blanks) are not probabilities.
+        "jitter=9223372036854775808", "jitter=4611686018427387904",
+        "delay=18446744073709551615", "drop=0x0.0p0", "drop= 0",
+        "delay=2: 0.5", "dup=0x1p-1"}) {
     try {
       ParseFaultPlan(bad);
       ADD_FAILURE() << "accepted: " << bad;

@@ -6,10 +6,10 @@
 
 namespace fixture {
 
-class Scheduler;  // congest-scheduler-access (x1: declaration names it)
+class FlatEngine;  // congest-scheduler-access (x1: declaration names it)
 
 struct NodeContext {
-  Scheduler* scheduler;  // congest-scheduler-access
+  FlatEngine* engine;  // congest-scheduler-access
 };
 
 std::uint64_t TallyByFragment(const NodeContext& ctx) {

@@ -13,8 +13,8 @@ struct Ctx {
 };
 
 std::uint64_t UsesOnlyNodeContext(Ctx& ctx) {
-  // The word "Scheduler" in a comment or string is not an access.
-  const char* note = "driven by the Scheduler elsewhere";
+  // The word "FlatEngine" in a comment or string is not an access.
+  const char* note = "driven by the FlatEngine elsewhere";
   return ctx.Awake(3) + note[0];
 }
 

@@ -41,4 +41,14 @@ void LeakMetrics(Exchange& ex) {
   ex.Push(0, 1, e);
 }
 
+// Likewise a pointer to this shard's round core.
+struct FlatEngine {
+  unsigned long round = 0;
+};
+void LeakCore(Exchange& ex) {
+  FlatEngine core;
+  WireEntry e{2, &core};  // shard-local-escape
+  ex.Push(0, 1, e);
+}
+
 }  // namespace fixture

@@ -100,6 +100,7 @@ TEST(SmstLint, FixtureCorpusExactFindingSet) {
       "tests/lint_fixtures/sharded/shard_bad.cpp:26:[shard-barrier-order]",
       "tests/lint_fixtures/sharded/shard_bad.cpp:33:[shard-barrier-order]",
       "tests/lint_fixtures/sharded/shard_bad.cpp:40:[shard-local-escape]",
+      "tests/lint_fixtures/sharded/shard_bad.cpp:50:[shard-local-escape]",
   };
   EXPECT_EQ(FindingTriples(run.stdout_text), expected);
 }

@@ -185,33 +185,12 @@ TEST(SimulatorTest, AwakeRoundsMustStrictlyIncrease) {
       std::logic_error);
 }
 
-// ------------------------------------------ scheduler failure surfacing --
-// Scheduler::Register throws from inside the Awake awaitable's
-// await_suspend; the standard resumes the coroutine and propagates the
-// exception from the co_await, so it must land in the task's promise and
-// surface via TaskRunner::RethrowIfFailed — never std::terminate, and
-// never masked by a peer's generic "never finished" error.
-
-TEST(SchedulerTest, DuplicateWakeRegistrationThrowsInEveryBuildType) {
-  // Only direct Register misuse can double-book a node (a coroutine is
-  // suspended while its wake is queued), but before this was a throw it
-  // was a debug-only assert: release builds silently clobbered
-  // delivery state. Pin the loud failure.
-  auto g = TwoNodes();
-  Metrics metrics(g.NumNodes());
-  Scheduler sched(g, metrics, /*max_rounds=*/100);
-  PendingWake first{0, 1, {}, {}, nullptr};
-  PendingWake second{0, 1, {}, {}, nullptr};
-  sched.Register(&first);
-  sched.Register(&second);
-  try {
-    sched.RunUntilIdle();
-    FAIL() << "duplicate wake did not throw";
-  } catch (const std::logic_error& e) {
-    EXPECT_NE(std::string(e.what()).find("awake twice"), std::string::npos)
-        << e.what();
-  }
-}
+// ---------------------------------------- registration failure surfacing --
+// A bad wake request (non-monotone round, bad port, double send) is
+// rejected when the round core queues the node's wake; the node is then
+// marked failed with that exception, which the Simulator rethrows —
+// never std::terminate, and never masked by a peer's generic "never
+// finished" error.
 
 Task<int> NestedBadRound(NodeContext& ctx) {
   co_await ctx.Awake(3);

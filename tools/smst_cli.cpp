@@ -58,9 +58,9 @@ flags:
   --shards   simulator worker shards (0 = serial engine); results are
              bit-identical for every value                           [0]
   --shard-policy  block | rr — node-to-shard partition policy        [block]
-  --engine   coroutine | flat — per-node coroutines, or the batched
-             state-machine lowering (results are bit-identical; flat
-             trades generality for throughput, see DESIGN.md §13)    [coroutine]
+  --engine   coroutine | flat — node programs as per-node coroutines or
+             as batched state machines, both on one round core
+             (bit-identical results; flat is faster, DESIGN.md §13)  [coroutine]
   --energy   off | mote | wifi | ble                                 [off]
   --quiet    only the summary line
 )";
@@ -156,8 +156,8 @@ int main(int argc, char** argv) {
         !smst::SupportsFlatEngine(algo, opt)) {
       std::cerr << "error: --engine flat is not lowered for "
                 << smst::MstAlgorithmName(algo)
-                << " (supported: randomized, deterministic with the "
-                   "fast-awake coloring); use --engine coroutine\n";
+                << " (the log*-coloring has no flat lowering); use "
+                   "--engine coroutine\n";
       return 2;
     }
     const std::uint64_t num_seeds = args.GetUint("seeds", 1);

@@ -77,8 +77,8 @@ const std::set<std::string_view> kUnorderedTypes = {
 // Per-shard state that must never travel in a WireEntry: these objects are
 // owned by one worker thread and poked without synchronization.
 const std::set<std::string_view> kShardLocalTypes = {
-    "Scheduler", "Metrics",  "Auditor", "NodeMetrics",
-    "FlatRuntime", "FramePool", "Shard"};
+    "FlatEngine", "CoroutineProgram", "Metrics", "Auditor",
+    "NodeMetrics", "FramePool",        "Shard"};
 
 bool IsMemberAccess(const Tokens& t, std::size_t i) {
   return i > 0 && (t[i - 1].Is(".") || t[i - 1].Is("->"));
@@ -204,14 +204,14 @@ class Analysis {
                         "localtime", "gmtime", "mktime"})) {
         Flag(tok.line, "det-wall-clock",
              "wall-clock reads make runs irreproducible; simulation time is "
-             "Scheduler rounds, bench timing belongs in bench/");
+             "engine rounds, bench timing belongs in bench/");
       }
       if (IsAnyOf(tok, {"system_clock", "steady_clock",
                         "high_resolution_clock", "utc_clock", "file_clock"}) &&
           i + 2 < t_.size() && t_[i + 1].Is("::") && t_[i + 2].IsIdent("now")) {
         Flag(tok.line, "det-wall-clock",
              "std::chrono clock reads make runs irreproducible; simulation "
-             "time is Scheduler rounds, bench timing belongs in bench/");
+             "time is engine rounds, bench timing belongs in bench/");
       }
     }
 
@@ -267,10 +267,10 @@ class Analysis {
     if (InAlgoDir(file_.path)) {
       for (const Token& tok : t_) {
         if (tok.kind == Token::Kind::kIdent &&
-            IsAnyOf(tok, {"Scheduler", "Simulator", "SimulatorOptions"})) {
+            IsAnyOf(tok, {"FlatEngine", "Simulator", "SimulatorOptions"})) {
           Flag(tok.line, "congest-scheduler-access",
                "algorithm code may only touch the network through "
-               "NodeContext::Awake/SendBatch; Scheduler/Simulator access "
+               "NodeContext::Awake/SendBatch; round-core/Simulator access "
                "belongs to driver entry points (baseline those)");
         }
       }
@@ -729,7 +729,7 @@ const std::vector<RuleDesc>& AllRules() {
        "(mst/sleeping/lower_bounds/energy)"},
       {"det-pointer-key", "pointer values used as associative-container keys"},
       {"congest-scheduler-access",
-       "Scheduler/Simulator access from algorithm dirs (mst/sleeping)"},
+       "round-core/Simulator access from algorithm dirs (mst/sleeping)"},
       {"congest-lane-pack", "16-bit lane packing without a width guard"},
       {"coro-ref-capture", "by-reference lambda capture in a coroutine"},
       {"coro-missing-co-return",

@@ -10,7 +10,7 @@
 //
 // A symbol's `type` is the last type-ish identifier left of its name
 // (template arguments skipped), which is exactly enough for the rules:
-// "is this an unordered container", "is this per-shard Scheduler/Metrics
+// "is this an unordered container", "is this per-shard core/Metrics
 // state". Its scope is the innermost brace block containing the
 // declaration — extended to the controlled statement for declarations in
 // `for`/`if`/`while`/`switch` headers — so reads can be tested for

@@ -12,8 +12,8 @@
 //  * ring  — degree 2, block partition keeps all but 2K edges internal:
 //            the sharding-friendly extreme.
 //  * star  — one hub owning n-1 ports: serial hot spot, and under
-//            round-robin almost every edge crosses shards: the exchange-
-//            ring stress extreme.
+//            round-robin almost every edge crosses shards: the cross-
+//            shard outbox stress extreme.
 //  * grc   — the paper's lower-bound family (4 x c grid-with-tree): a
 //            realistic mixed topology.
 #include <benchmark/benchmark.h>

@@ -19,10 +19,10 @@
 //                   tests)
 //
 // Violations are recorded with round + node attribution (up to
-// Config::max_recorded, counted beyond that). The hooks are compiled
-// into the round core by default behind a null-pointer check and can be
-// removed entirely with -DSMST_NO_AUDITOR=ON; Debug builds (and any
-// build configured with -DSMST_AUDIT=ON) install an auditor on every
+// Config::max_recorded, counted beyond that). The round core calls the
+// hooks behind a null-pointer check; its plain and fused delivery bodies,
+// which run when no auditor is installed, call none. Debug builds (and
+// any build configured with -DSMST_AUDIT=ON) install an auditor on every
 // Simulator by default, making every existing test a model-conformance
 // test. The auditor never changes execution — it only observes.
 #pragma once

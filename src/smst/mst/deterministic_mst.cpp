@@ -669,10 +669,12 @@ MstRunResult RunDeterministicMst(const WeightedGraph& g,
   RunOutcome outcome;
   if (options.engine == EngineMode::kFlat) {
     FlatDetProgram program(g, &sh);
-    outcome = DriveProgram(sim, program, faulted);
+    outcome = DriveProgram(sim, nullptr, &program, faulted);
   } else {
-    outcome = DriveProgram(
-        sim, [&sh](NodeContext& ctx) { return NodeMain(ctx, &sh); }, faulted);
+    const NodeProgram program = [&sh](NodeContext& ctx) {
+      return NodeMain(ctx, &sh);
+    };
+    outcome = DriveProgram(sim, &program, nullptr, faulted);
   }
 
   std::uint64_t phases = 0;

@@ -264,10 +264,12 @@ MstRunResult RunEngine(const WeightedGraph& g, const MstOptions& options,
   RunOutcome outcome;
   if (options.engine == EngineMode::kFlat) {
     FlatGhsProgram program(g, &sh, options.seed);
-    outcome = DriveProgram(sim, program, faulted);
+    outcome = DriveProgram(sim, nullptr, &program, faulted);
   } else {
-    outcome = DriveProgram(
-        sim, [&sh](NodeContext& ctx) { return NodeMain(ctx, &sh); }, faulted);
+    const NodeProgram program = [&sh](NodeContext& ctx) {
+      return NodeMain(ctx, &sh);
+    };
+    outcome = DriveProgram(sim, &program, nullptr, faulted);
   }
 
   std::uint64_t phases = 0;

@@ -2,7 +2,6 @@
 
 #include <string>
 
-#include "smst/faults/auditor.h"
 #include "smst/mst/options.h"
 
 namespace smst {
@@ -53,39 +52,20 @@ MstRunResult AssembleResult(const WeightedGraph& g,
   return r;
 }
 
-RunOutcome DriveProgram(Simulator& sim, const NodeProgram& program,
-                        bool faulted) {
-  if (!faulted) {
-    sim.Run(program);
-    // Run() already threw if the audit was not clean; surface the
-    // auditor's meters so callers can cross-check them like in faulted
-    // runs (all-zero when no auditor ran). Audit() covers both engines
-    // (serial auditor, or summed shard auditors).
-    RunOutcome out;
-    const Simulator::AuditSummary a = sim.Audit();
-    if (a.audited) {
-      out.audited_awake_node_rounds = a.awake_node_rounds;
-      out.audited_model_drops = a.model_drops;
-      out.audit_violations = a.violations;
-    }
-    return out;
+RunOutcome DriveProgram(Simulator& sim, const NodeProgram* coro,
+                        FlatProgram* flat, bool faulted) {
+  if (faulted) {
+    return coro != nullptr ? sim.RunToOutcome(*coro) : sim.RunToOutcome(*flat);
   }
-  return sim.RunToOutcome(program);
-}
-
-RunOutcome DriveProgram(Simulator& sim, FlatProgram& program, bool faulted) {
-  if (!faulted) {
-    sim.Run(program);
-    RunOutcome out;
-    const Simulator::AuditSummary a = sim.Audit();
-    if (a.audited) {
-      out.audited_awake_node_rounds = a.awake_node_rounds;
-      out.audited_model_drops = a.model_drops;
-      out.audit_violations = a.violations;
-    }
-    return out;
-  }
-  return sim.RunToOutcome(program);
+  if (coro != nullptr) sim.Run(*coro);
+  else sim.Run(*flat);
+  // Run() already threw if the audit was not clean; surface the
+  // auditor's meters so callers can cross-check them like in faulted
+  // runs (all-zero when no auditor ran). Audit() covers both engines
+  // (serial auditor, or summed shard auditors).
+  RunOutcome out;
+  sim.Audit().CopyTo(out);
+  return out;
 }
 
 void RefineOutcome(MstRunResult& result, std::size_t num_nodes) {

@@ -59,13 +59,12 @@ MstRunResult AssembleResult(const WeightedGraph& g,
                             const Metrics& metrics, std::uint64_t phases,
                             std::vector<LdtState> final_ldt);
 
-// Shared by the algorithm harnesses: runs `program` under the dual
-// contract — the throwing Simulator::Run when `faulted` is false, the
-// classifying RunToOutcome when true.
-RunOutcome DriveProgram(Simulator& sim, const NodeProgram& program,
-                        bool faulted);
-// Flat-engine twin of the above (SimulatorOptions::engine == kFlat).
-RunOutcome DriveProgram(Simulator& sim, FlatProgram& program, bool faulted);
+// Shared by the algorithm harnesses: runs the program — exactly one of
+// `coro` (SimulatorOptions::engine == kCoroutine) and `flat` (kFlat) is
+// non-null — under the dual contract: the throwing Simulator::Run when
+// `faulted` is false, the classifying RunToOutcome when true.
+RunOutcome DriveProgram(Simulator& sim, const NodeProgram* coro,
+                        FlatProgram* flat, bool faulted);
 
 // Refines a faulted run's kCompleted outcome against the assembled
 // result: an endpoint inconsistency or a non-spanning edge set becomes

@@ -9,19 +9,6 @@
 #include "smst/faults/auditor.h"
 #include "smst/faults/run_outcome.h"
 
-// Auditor call sites compile to a single null check by default; a build
-// configured with -DSMST_NO_AUDITOR=ON removes them entirely.
-#ifdef SMST_NO_AUDITOR
-#define SMST_AUDIT_HOOK(call) ((void)0)
-#else
-#define SMST_AUDIT_HOOK(call) \
-  do {                        \
-    if (auditor_) {           \
-      auditor_->call;         \
-    }                         \
-  } while (0)
-#endif
-
 namespace smst {
 
 namespace {
@@ -151,18 +138,18 @@ void FlatEngine::ValidateSends(NodeIndex v, const SendBatch& sends) {
   }
 }
 
-void FlatEngine::Register(NodeIndex v, Round r) {
+Round FlatEngine::Admit(NodeIndex v, Round r) {
   if (r == kFlatDone) {
     status_[v] = Status::kDone;
     slots_.sends[v].clear();
-    return;
+    return 0;
   }
   if (faulty_) {
     // Jitter may move the wake either way; clamping (rather than the
     // monotonicity throw below) keeps perturbed runs legal. A crash-stop
     // swallows the wake: the node stays pending forever, unqueued.
     r = faults_.PerturbWake(v, r, current_ + 1);
-    if (faults_.SuppressWake(v, r)) return;
+    if (faults_.SuppressWake(v, r)) return 0;
   } else if (r <= current_) {
     throw std::logic_error(
         "node " + std::to_string(v) + " requested awake round " +
@@ -170,7 +157,11 @@ void FlatEngine::Register(NodeIndex v, Round r) {
         std::to_string(current_));
   }
   ValidateSends(v, slots_.sends[v]);
-  PushRegistered(v, r);
+  return r;
+}
+
+void FlatEngine::Register(NodeIndex v, Round r) {
+  if (const Round queued = Admit(v, r)) PushRegistered(v, queued);
 }
 
 void FlatEngine::PushRegistered(NodeIndex v, Round r) {
@@ -289,7 +280,7 @@ bool FlatEngine::StageRound(Round r) {
   if (plain_ && staged_.size() == graph_.NumNodes()) return true;
   for (const NodeIndex v : staged_) {
     stamp_[v] = r;
-    SMST_AUDIT_HOOK(OnAwake(r, v));
+    if (auditor_) auditor_->OnAwake(r, v);
   }
   if (trace_) round_trace_.assign(staged_.size(), TraceCounts{});
   return false;
@@ -310,7 +301,7 @@ void FlatEngine::DrainDelayed(Round r) {
       // charged to the sender like any other drop.
       ++metrics_.Node(m.src).messages_dropped;
       faults_.CountDelayedLost();
-      SMST_AUDIT_HOOK(OnDrop(m.due, m.src, /*injected=*/false));
+      if (auditor_) auditor_->OnDrop(m.due, m.src, /*injected=*/false);
     }
   }
 }
@@ -318,7 +309,7 @@ void FlatEngine::DrainDelayed(Round r) {
 void FlatEngine::Land(NodeIndex src, NodeIndex dst, std::uint32_t port,
                       const Message& msg) {
   slots_.inbox[dst].push_back(InMessage{port, msg});
-  SMST_AUDIT_HOOK(OnDeliver(current_, src, dst, msg));
+  if (auditor_) auditor_->OnDeliver(current_, src, dst, msg);
 }
 
 void FlatEngine::Park(const WireEntry& m) {
@@ -334,7 +325,7 @@ FaultSession::MessageVerdict FlatEngine::Judge(NodeIndex v,
   ++acc.msgs;
   acc.bits += bits;
   if (bits > max_bits_seen_) max_bits_seen_ = bits;
-  SMST_AUDIT_HOOK(OnSend(current_, v, out.port, out.msg));
+  if (auditor_) auditor_->OnSend(current_, v, out.port, out.msg);
   if (!faulty_) return {};
   const FaultSession::MessageVerdict verdict =
       faults_.OnMessage(v, out.port, current_);
@@ -342,7 +333,7 @@ FaultSession::MessageVerdict FlatEngine::Judge(NodeIndex v,
     // Adversary drop: distinct from the sleeping-model loss — it does
     // NOT count towards messages_dropped.
     if (TraceCounts* tc = TraceOf(wi)) ++tc->injected_drops;
-    SMST_AUDIT_HOOK(OnDrop(current_, v, /*injected=*/true));
+    if (auditor_) auditor_->OnDrop(current_, v, /*injected=*/true);
   }
   return verdict;
 }
@@ -379,7 +370,7 @@ void FlatEngine::DeliverFrom(NodeIndex v, std::size_t wi) {
       // Sleeping-model loss; a fresh duplicate of it never materializes.
       ++acc_[v].drops;
       if (tc) ++tc->dropped;
-      SMST_AUDIT_HOOK(OnDrop(r, v, /*injected=*/false));
+      if (auditor_) auditor_->OnDrop(r, v, /*injected=*/false);
       continue;
     }
     Land(v, dst, port, out.msg);
@@ -402,7 +393,7 @@ void FlatEngine::Receive(const WireEntry& e) {
     // send is never materialized serially, so it vanishes silently.
     if (e.copy == 0) {
       ++metrics_.Node(e.src).messages_dropped;
-      SMST_AUDIT_HOOK(OnDrop(current_, e.src, /*injected=*/false));
+      if (auditor_) auditor_->OnDrop(current_, e.src, /*injected=*/false);
     }
     return;
   }
@@ -535,9 +526,9 @@ void FlatEngine::FusedRound(FlatProgram& program) {
       acc.bits += bits_sum;
     }
 
-    // Step every node whose threshold the cursor just passed. Validation
-    // runs here, while the batch is hot; the bucket push is deferred to
-    // the ascending pass below so staged order stays sorted.
+    // Step every node whose threshold the cursor just passed. Register's
+    // checks (Admit) run here, while the batch is hot; the bucket push is
+    // deferred to the ascending pass below so staged order stays sorted.
     while (cursor < n && thresh_[step_order_[cursor]] <= v) {
       const NodeIndex u = step_order_[cursor++];
       SendBatch& out = send_slots[u];
@@ -546,19 +537,7 @@ void FlatEngine::FusedRound(FlatProgram& program) {
       try {
         const Round next = program.Step(u, r, env_, inbox[u], out);
         inbox[u].clear();
-        if (next == kFlatDone) {
-          status_[u] = Status::kDone;
-          out.clear();
-          continue;
-        }
-        if (next <= r) {
-          throw std::logic_error(
-              "node " + std::to_string(u) + " requested awake round " +
-              std::to_string(next) + " but the clock is already at " +
-              std::to_string(r));
-        }
-        ValidateSends(u, out);
-        next_round_[u] = next;
+        next_round_[u] = Admit(u, next);
       } catch (...) {
         Fail(u);
       }

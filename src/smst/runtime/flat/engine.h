@@ -145,10 +145,14 @@ class FlatEngine {
     std::uint32_t injected_dups = 0;
   };
 
-  // Queues node v's next wake (kFlatDone finishes it). Under a fault
-  // plan the round may be jittered or the wake swallowed by a crash;
-  // otherwise it must be strictly after the clock. Throws on a bad
-  // round or send batch (the caller marks the node failed).
+  // The registration rules for node v's requested wake `r`: kFlatDone
+  // finishes the node; under a fault plan the round may be jittered or
+  // the wake swallowed by a crash; otherwise it must be strictly after
+  // the clock; and the send batch must be legal. Returns the round to
+  // queue (0 = none). Throws on a bad round or send batch (the caller
+  // marks the node failed).
+  Round Admit(NodeIndex v, Round r);
+  // Admit, then queue the wake.
   void Register(NodeIndex v, Round r);
   void ValidateSends(NodeIndex v, const SendBatch& sends);
   void PushRegistered(NodeIndex v, Round r);

@@ -73,9 +73,10 @@ using InboxBatch = SmallVec<InMessage, kInlineMessageCapacity>;
 // duplicate. `due` = 0 means fresh (deliver in the current round iff the
 // receiver is awake); otherwise it is the absolute round an adversary-
 // delayed message falls due. The round core parks delayed messages in a
-// heap ordered by (due, identity), and the sharded exchange carries
-// cross-shard messages in this form, so drain order is a function of the
-// messages alone, never of which shard parked them (DESIGN.md §12).
+// heap ordered by (due, identity), and the sharded engine's outboxes
+// carry cross-shard messages in this form, so drain order is a function
+// of the messages alone, never of which shard parked them (DESIGN.md
+// §12).
 struct WireEntry {
   NodeIndex src = kInvalidNode;
   NodeIndex dst = kInvalidNode;

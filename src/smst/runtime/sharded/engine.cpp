@@ -1,9 +1,6 @@
 #include "smst/runtime/sharded/engine.h"
 
-#include <stdexcept>
-#include <string>
 #include <thread>
-#include <utility>
 
 #include "smst/faults/auditor.h"
 
@@ -20,31 +17,33 @@ Metrics ShardMetrics(std::size_t num_nodes, bool record_wake_times) {
 }  // namespace
 
 ShardedEngine::Shard::Shard(const WeightedGraph& graph,
-                            const ShardedEngineOptions& options,
+                            const SimulatorOptions& options, bool audit,
                             const ShardPartition& partition, std::uint32_t s,
                             FlatSlots& slots)
     : metrics(ShardMetrics(graph.NumNodes(), options.record_wake_times)),
-      auditor(options.audit ? std::make_unique<Auditor>(graph) : nullptr),
+      auditor(audit ? std::make_unique<Auditor>(graph) : nullptr),
       core(graph, metrics,
            FlatEngine::Options{options.max_rounds, options.fault_plan,
                                options.seed, auditor.get(), {}},
-           &partition, s, &slots) {}
+           &partition, s, &slots),
+      outbox(partition.NumShards()),
+      streams(partition.NumShards()) {}
 
 ShardedEngine::ShardedEngine(const WeightedGraph& graph,
-                             ShardedEngineOptions options)
+                             const SimulatorOptions& options, bool audit,
+                             Metrics& metrics)
     : graph_(graph),
       options_(options),
-      partition_(graph.NumNodes(), options.shards, options.policy),
-      exchange_(partition_.NumShards()),
-      slots_(graph),
-      merged_metrics_(graph.NumNodes()) {
+      audit_(audit),
+      metrics_(metrics),
+      partition_(graph.NumNodes(), options.shards, options.shard_policy),
+      slots_(graph) {
   const std::uint32_t k = partition_.NumShards();
   // Slots only; each worker constructs its own Shard in ShardMain so
   // the per-shard O(n) state is built in parallel, owner-thread-local.
   shards_.resize(k);
   errors_.resize(k);
   next_round_.assign(k, kMaxRound);
-  if (options_.record_wake_times) merged_metrics_.EnableWakeTimes();
 }
 
 ShardedEngine::~ShardedEngine() {
@@ -69,18 +68,7 @@ ShardedEngine::~ShardedEngine() {
   }
 }
 
-void ShardedEngine::Execute(const NodeProgram& program) {
-  ExecuteImpl(&program, nullptr);
-}
-
-void ShardedEngine::ExecuteFlat(FlatProgram& program) {
-  ExecuteImpl(nullptr, &program);
-}
-
-void ShardedEngine::ExecuteImpl(const NodeProgram* coro, FlatProgram* flat) {
-  if (ran_) throw std::logic_error("ShardedEngine may run only once");
-  ran_ = true;
-
+void ShardedEngine::Execute(const NodeProgram* coro, FlatProgram* flat) {
   const std::uint32_t k = partition_.NumShards();
   barrier_.emplace(static_cast<std::ptrdiff_t>(k), RoundReduce{this});
 
@@ -96,7 +84,7 @@ void ShardedEngine::ExecuteImpl(const NodeProgram* coro, FlatProgram* flat) {
   // peaks are maxima, probes are key-summed, wake times are owner-only.
   for (const auto& shard : shards_) {
     if (!shard) continue;  // failed before constructing; see errors_
-    merged_metrics_.MergeFrom(shard->metrics);
+    metrics_.MergeFrom(shard->metrics);
     merged_faults_.MergeFrom(shard->core.InjectedFaults());
   }
   // Shard-level failures (watchdog, allocation failure) rethrow
@@ -130,9 +118,9 @@ void ShardedEngine::RunShard(std::uint32_t s, const NodeProgram* coro,
   // the contexts, and the coroutine frames are then allocated (and
   // first-touched) by the thread that will use them, and the K shards
   // set up in parallel.
-  shards_[s] = std::make_unique<Shard>(graph_, options_, partition_, s, slots_);
+  shards_[s] = std::make_unique<Shard>(graph_, options_, audit_, partition_,
+                                       s, slots_);
   Shard& shard = *shards_[s];
-  shard.inbound.resize(partition_.NumShards());
   shard.cross_ports.assign(graph_.NumNodes(), 0);
   for (const NodeIndex v : partition_.NodesOf(s)) {
     for (const Port& port : graph_.PortsOf(v)) {
@@ -177,6 +165,7 @@ void ShardedEngine::CollectSends(std::uint32_t s) {
   // the auditor's books are order-free within a round, so the split
   // cannot change any total.
   Shard& shard = *shards_[s];
+  for (std::vector<WireEntry>& out : shard.outbox) out.clear();
   FlatEngine& core = shard.core;
   const Round r = core.CurrentRound();
   const std::vector<NodeIndex>& staged = core.Staged();
@@ -204,10 +193,11 @@ void ShardedEngine::CollectSends(std::uint32_t s) {
                   r,
                   /*copy=*/0,
                   out.msg};
-      exchange_.Push(s, to, e);
+      std::vector<WireEntry>& outbox = shard.outbox[to];
+      outbox.push_back(e);
       if (verdict.duplicate) {
         e.copy = 1;
-        exchange_.Push(s, to, e);
+        outbox.push_back(e);
       }
     }
   }
@@ -222,43 +212,36 @@ void ShardedEngine::ReceiveAndDeliver(std::uint32_t s) {
   // key order.
   core.DrainDelayed(core.CurrentRound());
 
-  // Pull this shard's inbound streams (the self ring is never used:
-  // local sends skip the exchange). Each producer emitted in ascending
-  // (src, batch_pos, copy) order and shards own disjoint node sets, so
-  // stepping local senders and remote stream heads by minimum source
-  // reproduces the serial delivery loop's global order exactly.
+  // Read the outboxes addressed to this shard in place (a shard's own
+  // outbox to itself stays empty: local sends are delivered below). Each
+  // producer appended in ascending (src, batch_pos, copy) order and
+  // shards own disjoint node sets, so stepping local senders and remote
+  // stream heads by minimum source reproduces the serial delivery loop's
+  // global order exactly.
   const std::uint32_t k = partition_.NumShards();
+  std::vector<Shard::Stream>& streams = shard.streams;
   for (std::uint32_t from = 0; from < k; ++from) {
-    shard.inbound[from].clear();
-    if (from != s) exchange_.DrainInto(from, s, shard.inbound[from]);
+    const std::vector<WireEntry>& in = shards_[from]->outbox[s];
+    streams[from] = {in.data(), in.data() + in.size()};
   }
-  std::vector<std::size_t>& pos = shard.merge_pos;
-  pos.assign(k, 0);
   const std::vector<NodeIndex>& staged = core.Staged();
   std::size_t wi = 0;  // next local sender in staged
   for (;;) {
-    std::uint32_t pick = k;
-    NodeIndex best_src = kInvalidNode;
-    for (std::uint32_t from = 0; from < k; ++from) {
-      if (pos[from] >= shard.inbound[from].size()) continue;
-      const NodeIndex src = shard.inbound[from][pos[from]].src;
-      if (pick == k || src < best_src) {
-        pick = from;
-        best_src = src;
+    Shard::Stream* pick = nullptr;
+    for (Shard::Stream& in : streams) {
+      if (in.next != in.end && (pick == nullptr || in.next->src < pick->next->src)) {
+        pick = &in;
       }
     }
-    if (wi < staged.size() && (pick == k || staged[wi] < best_src)) {
+    if (wi < staged.size() &&
+        (pick == nullptr || staged[wi] < pick->next->src)) {
       core.DeliverFrom(staged[wi], wi);
       ++wi;
       continue;
     }
-    if (pick == k) break;
-    core.Receive(shard.inbound[pick][pos[pick]++]);
+    if (pick == nullptr) break;
+    core.Receive(*pick->next++);
   }
-}
-
-void ShardedEngine::MergeMetricsInto(Metrics& target) const {
-  target.MergeFrom(merged_metrics_);
 }
 
 std::uint64_t ShardedEngine::CountUnfinished() const {
@@ -286,19 +269,12 @@ void ShardedEngine::RethrowFirstNodeFailure() const {
   }
 }
 
-ShardedEngine::AuditTotals ShardedEngine::CheckAndSummarizeAudit() {
-  AuditTotals totals;
+Simulator::AuditSummary ShardedEngine::CheckAudit() {
+  Simulator::AuditSummary summary;
   for (const auto& shard : shards_) {
-    Auditor* a = shard ? shard->auditor.get() : nullptr;
-    if (a == nullptr) continue;
-    totals.audited = true;
-    a->CheckAwakeMeter(shard->metrics);
-    totals.awake_node_rounds += a->AwakeNodeRounds();
-    totals.model_drops += a->ModelDrops();
-    totals.violations += a->ViolationCount();
-    totals.report += a->Report();
+    if (shard && shard->auditor) summary.Add(*shard->auditor, shard->metrics);
   }
-  return totals;
+  return summary;
 }
 
 }  // namespace smst

@@ -3,26 +3,31 @@
 // The node set is partitioned into K shards; each shard worker thread
 // owns one round core (runtime/flat/engine.h: wake queue, delayed-message
 // parking, fault session, optional auditor) over its nodes, plus — for
-// coroutine runs — the CoroutineProgram holding its nodes' frames, and
-// its own metrics. The cores share one set of per-node mail slots, each
-// touching only its own nodes' entries. A round proceeds in
-// barrier-separated phases:
+// coroutine runs — the CoroutineProgram holding its nodes' frames, its
+// own metrics, and one outbox per destination shard. The cores share one
+// set of per-node mail slots, each touching only its own nodes' entries.
+// A round proceeds in barrier-separated phases:
 //
 //   select   every shard publishes NextPendingRound(); the barrier's
 //            completion reduces them to the global round R = min
 //   stage    each core stages its round-R nodes (canonical ascending
 //            node order) and marks them awake
 //   collect  each shard meters its nodes' *cross-shard* sends and
-//            publishes them (fault verdicts applied sender-side) through
-//            the ShardExchange; shard-local sends wait for the delivery
-//            scan
+//            appends them (fault verdicts applied sender-side) to its
+//            outbox for the owner shard, in ascending source order;
+//            shard-local sends wait for the delivery scan
 //   barrier
 //   receive  each core drains its delayed heap for round R, then one
-//            scan steps its local senders and its remote inbound streams
-//            in ascending source order — local senders through the
-//            core's per-sender delivery (the serial body), remote entries
-//            to awake targets (charging model drops receiver-side)
+//            scan steps its local senders and the other shards' outboxes
+//            addressed to it, read in place, in ascending source order —
+//            local senders through the core's per-sender delivery (the
+//            serial body), remote entries to awake targets (charging
+//            model drops receiver-side)
 //   step     each core steps its staged nodes in ascending node order
+//
+// An outbox is written only by its owner before the collect barrier and
+// read only by its destination between that barrier and the next select
+// barrier, so the barriers are its only synchronization.
 //
 // Determinism: round staging order is canonical, fault verdicts are pure
 // hashes of event coordinates, per-shard metrics/fault counters merge by
@@ -42,91 +47,71 @@
 #include <exception>
 #include <memory>
 #include <optional>
-#include <string>
 #include <vector>
 
-#include "smst/faults/fault_plan.h"
 #include "smst/graph/graph.h"
 #include "smst/runtime/coroutine_program.h"
 #include "smst/runtime/flat/engine.h"
 #include "smst/runtime/metrics.h"
-#include "smst/runtime/sharded/exchange.h"
 #include "smst/runtime/sharded/partition.h"
+#include "smst/runtime/simulator.h"
 
 namespace smst {
 
 class Auditor;
 
-struct ShardedEngineOptions {
-  std::uint32_t shards = 2;
-  ShardPolicy policy = ShardPolicy::kContiguousBlocks;
-  std::uint64_t seed = 1;
-  Round max_rounds = std::uint64_t{1} << 62;
-  bool record_wake_times = false;
-  const FaultPlan* fault_plan = nullptr;
-  bool audit = false;  // one Auditor per shard when set
-};
-
 class ShardedEngine {
  public:
-  ShardedEngine(const WeightedGraph& graph, ShardedEngineOptions options);
+  // The sharded backend of one Simulator run: options.shards workers
+  // under options.shard_policy, one Auditor per shard when `audit` is
+  // set. Execute merges the shards' meters into `metrics`, the run's.
+  ShardedEngine(const WeightedGraph& graph, const SimulatorOptions& options,
+                bool audit, Metrics& metrics);
   ~ShardedEngine();
 
-  // Runs every node program to completion (or abort). Shard-level
-  // failures (round watchdog, allocation failure) rethrow here, lowest
-  // shard index first; node-program failures are captured per node for
-  // RethrowFirstNodeFailure. Per-shard metrics and fault counters are
-  // merged (in shard order) before any rethrow, so callers observe a
-  // consistent aborted state. May be called once.
-  void Execute(const NodeProgram& program);
-
-  // Flat twin of Execute. The single program instance is shared across
-  // worker threads — safe because shards own disjoint node sets and flat
+  // Runs every node program to completion (or abort); exactly one of the
+  // programs is non-null. A flat program instance is shared across the
+  // workers — safe because shards own disjoint node sets and flat
   // programs keep all mutable state in per-node slots
-  // (runtime/flat/program.h).
-  void ExecuteFlat(FlatProgram& program);
+  // (runtime/flat/program.h). Per-shard metrics and fault counters are
+  // merged (in shard order) into the run before shard-level failures
+  // (round watchdog, allocation failure) rethrow, lowest shard index
+  // first; node-program failures are captured per node for
+  // RethrowFirstNodeFailure.
+  void Execute(const NodeProgram* coro, FlatProgram* flat);
 
   // --- post-run views (valid after Execute, even if it threw) ----------
-  const Metrics& MergedMetrics() const { return merged_metrics_; }
-  // Adds the merged per-shard totals into `target` (the Simulator's
-  // metrics object, which node contexts never saw in sharded mode).
-  void MergeMetricsInto(Metrics& target) const;
   const FaultStats& InjectedFaults() const { return merged_faults_; }
-
   std::uint64_t CountUnfinished() const;
   NodeIndex FirstUnfinishedNode() const;  // kInvalidNode if all finished
   // Rethrows the first failed node program in global node-index order.
   void RethrowFirstNodeFailure() const;
-
-  // Merged auditor view (all zero / empty when auditing is off).
-  struct AuditTotals {
-    bool audited = false;
-    std::uint64_t awake_node_rounds = 0;
-    std::uint64_t model_drops = 0;
-    std::uint64_t violations = 0;
-    std::string report;  // concatenated per-shard reports ("" when clean)
-  };
-  // Runs each shard auditor's CheckAwakeMeter against its own metrics
-  // (per-shard books balance: awakes are metered at the owner, model
-  // drops at the receiver) and returns the summed totals.
-  AuditTotals CheckAndSummarizeAudit();
-
-  const ShardPartition& Partition() const { return partition_; }
+  // Cross-checks each shard auditor against its own metrics (per-shard
+  // books balance: awakes are metered at the owner, model drops at the
+  // receiver) and returns their summed meters.
+  Simulator::AuditSummary CheckAudit();
 
  private:
   struct Shard {
-    Shard(const WeightedGraph& graph, const ShardedEngineOptions& options,
-          const ShardPartition& partition, std::uint32_t s, FlatSlots& slots);
+    Shard(const WeightedGraph& graph, const SimulatorOptions& options,
+          bool audit, const ShardPartition& partition, std::uint32_t s,
+          FlatSlots& slots);
 
     Metrics metrics;                   // full-size; merged by summation
     std::unique_ptr<Auditor> auditor;  // before core: it borrows it
     FlatEngine core;
     // Coroutine runs only: this shard's nodes' frames.
     std::unique_ptr<CoroutineProgram> coroutines;
-    // Consumer-side scratch, reused every round: one inbound buffer per
-    // producer shard, plus the merge cursors over those buffers.
-    std::vector<std::vector<WireEntry>> inbound;
-    std::vector<std::size_t> merge_pos;
+    // outbox[t]: this round's surviving sends to shard t's nodes, in
+    // ascending (src, batch_pos, copy) order. Reused every round.
+    std::vector<std::vector<WireEntry>> outbox;
+    // Receive-side merge cursors over the outboxes addressed to this
+    // shard, one per source shard, rebuilt every round.
+    struct Stream {
+      const WireEntry* next = nullptr;
+      const WireEntry* end = nullptr;
+    };
+    std::vector<Stream> streams;
     // cross_ports[v] != 0 iff local node v has at least one neighbor
     // owned by another shard. CollectSends skips a waker's whole batch
     // on this bit, so the pre-barrier sweep touches only boundary
@@ -136,9 +121,6 @@ class ShardedEngine {
     std::vector<std::uint8_t> cross_ports;
   };
 
-  // Shared Execute/ExecuteFlat body; exactly one of the programs is
-  // non-null.
-  void ExecuteImpl(const NodeProgram* coro, FlatProgram* flat);
   void ShardMain(std::uint32_t s, const NodeProgram* coro, FlatProgram* flat);
   void RunShard(std::uint32_t s, const NodeProgram* coro, FlatProgram* flat);
   void CollectSends(std::uint32_t s);
@@ -157,9 +139,10 @@ class ShardedEngine {
   };
 
   const WeightedGraph& graph_;
-  ShardedEngineOptions options_;
+  const SimulatorOptions& options_;
+  const bool audit_;
+  Metrics& metrics_;  // the run's; receives the merged shard meters
   ShardPartition partition_;
-  ShardExchange exchange_;
   FlatSlots slots_;  // shared by the shard cores
   // Slot s is constructed by worker s itself (ShardMain), not in the
   // engine constructor: the O(n)-sized Metrics and core lanes are then
@@ -175,9 +158,7 @@ class ShardedEngine {
   std::optional<std::barrier<RoundReduce>> barrier_;
   std::atomic<bool> abort_{false};
 
-  Metrics merged_metrics_;
   FaultStats merged_faults_;
-  bool ran_ = false;
 };
 
 }  // namespace smst

@@ -12,10 +12,6 @@ namespace smst {
 namespace {
 
 bool WantAuditor(AuditMode mode) {
-#ifdef SMST_NO_AUDITOR
-  (void)mode;
-  return false;
-#else
   switch (mode) {
     case AuditMode::kOn: return true;
     case AuditMode::kOff: return false;
@@ -27,7 +23,6 @@ bool WantAuditor(AuditMode mode) {
 #endif
   }
   return false;
-#endif
 }
 
 }  // namespace
@@ -53,21 +48,14 @@ Simulator::Simulator(const WeightedGraph& graph, SimulatorOptions options)
   if (options_.shards > 0) {
     if (options_.trace) {
       // A sender's model-drop counts are only known receiver-side after
-      // the exchange barrier, so exact per-sender trace events cannot be
+      // the collect barrier, so exact per-sender trace events cannot be
       // emitted shard-locally. Tracing is a debugging feature; use the
       // serial engine for it.
       throw std::invalid_argument(
           "tracing requires the serial engine (shards = 0)");
     }
-    ShardedEngineOptions e;
-    e.shards = options_.shards;
-    e.policy = options_.shard_policy;
-    e.seed = options_.seed;
-    e.max_rounds = options_.max_rounds;
-    e.record_wake_times = options_.record_wake_times;
-    e.fault_plan = options_.fault_plan;
-    e.audit = WantAuditor(options_.audit);
-    sharded_ = std::make_unique<ShardedEngine>(graph_, e);
+    sharded_ = std::make_unique<ShardedEngine>(
+        graph_, options_, WantAuditor(options_.audit), metrics_);
     return;
   }
   auditor_ = WantAuditor(options_.audit) ? std::make_unique<Auditor>(graph)
@@ -100,16 +88,9 @@ void Simulator::Execute(const NodeProgram* coro, FlatProgram* flat) {
 
   if (sharded_) {
     // The engine owns the per-shard cores and programs; it merges the
-    // per-shard metrics into its totals before rethrowing shard-level
+    // per-shard metrics into metrics_ before rethrowing shard-level
     // failures, so metrics_ is consistent on every exit path.
-    try {
-      if (coro != nullptr) sharded_->Execute(*coro);
-      else sharded_->ExecuteFlat(*flat);
-    } catch (...) {
-      sharded_->MergeMetricsInto(metrics_);
-      throw;
-    }
-    sharded_->MergeMetricsInto(metrics_);
+    sharded_->Execute(coro, flat);
     sharded_->RethrowFirstNodeFailure();
     return;
   }
@@ -136,25 +117,25 @@ NodeIndex Simulator::FirstUnfinishedNode() const {
                   : core_->FirstUnfinishedNode();
 }
 
-Simulator::AuditSummary Simulator::Audit() const {
-  if (sharded_) return sharded_audit_;
-  AuditSummary s;
-  if (auditor_) {
-    s.audited = true;
-    s.awake_node_rounds = auditor_->AwakeNodeRounds();
-    s.model_drops = auditor_->ModelDrops();
-    s.violations = auditor_->ViolationCount();
-    s.report = auditor_->Report();
-  }
-  return s;
+void Simulator::AuditSummary::Add(Auditor& auditor, const Metrics& metrics) {
+  auditor.CheckAwakeMeter(metrics);
+  audited = true;
+  awake_node_rounds += auditor.AwakeNodeRounds();
+  model_drops += auditor.ModelDrops();
+  violations += auditor.ViolationCount();
+  report += auditor.Report();
 }
 
-void Simulator::FillAuditSummary(RunOutcome& out) const {
-  const AuditSummary s = Audit();
-  if (!s.audited) return;
-  out.audited_awake_node_rounds = s.awake_node_rounds;
-  out.audited_model_drops = s.model_drops;
-  out.audit_violations = s.violations;
+void Simulator::AuditSummary::CopyTo(RunOutcome& out) const {
+  if (!audited) return;
+  out.audited_awake_node_rounds = awake_node_rounds;
+  out.audited_model_drops = model_drops;
+  out.audit_violations = violations;
+}
+
+void Simulator::CheckAudit() {
+  if (sharded_) audit_ = sharded_->CheckAudit();
+  else if (auditor_) audit_.Add(*auditor_, metrics_);
 }
 
 void Simulator::FinishRun() {
@@ -164,24 +145,11 @@ void Simulator::FinishRun() {
         "node " + std::to_string(unfinished) +
         " never finished (suspended with an empty wake queue)");
   }
-  if (sharded_) {
-    const ShardedEngine::AuditTotals t = sharded_->CheckAndSummarizeAudit();
-    sharded_audit_ = AuditSummary{t.audited, t.awake_node_rounds,
-                                  t.model_drops, t.violations, t.report};
-    if (sharded_audit_.audited && sharded_audit_.violations != 0) {
-      throw std::runtime_error(sharded_audit_.report);
-    }
-    return;
-  }
-  if (auditor_) {
-    // Model conformance is part of the fault-free contract: a clean run
-    // must also be a clean audit (builds with SMST_AUDIT make every
-    // existing test a conformance test this way).
-    auditor_->CheckAwakeMeter(metrics_);
-    if (!auditor_->Clean()) {
-      throw std::runtime_error(auditor_->Report());
-    }
-  }
+  // Model conformance is part of the fault-free contract: a clean run
+  // must also be a clean audit (builds with SMST_AUDIT make every
+  // existing test a conformance test this way).
+  CheckAudit();
+  if (audit_.violations != 0) throw std::runtime_error(audit_.report);
 }
 
 void Simulator::Run(const NodeProgram& program) {
@@ -224,14 +192,8 @@ RunOutcome Simulator::FinishOutcome(RunOutcome out) {
   }
   out.last_round = metrics_.LastRound();
   out.faults = InjectedFaults();
-  if (sharded_) {
-    const ShardedEngine::AuditTotals t = sharded_->CheckAndSummarizeAudit();
-    sharded_audit_ = AuditSummary{t.audited, t.awake_node_rounds,
-                                  t.model_drops, t.violations, t.report};
-  } else if (auditor_) {
-    auditor_->CheckAwakeMeter(metrics_);
-  }
-  FillAuditSummary(out);
+  CheckAudit();
+  audit_.CopyTo(out);
   return out;
 }
 

@@ -38,8 +38,7 @@ EngineMode ParseEngineMode(const std::string& name);
 
 // Whether this run gets a runtime invariant auditor (see faults/auditor.h).
 // kDefault = on in builds configured with SMST_AUDIT (all Debug builds),
-// off otherwise; kOn/kOff force it. A library built with SMST_NO_AUDITOR
-// has no hooks, so every mode degrades to off.
+// off otherwise; kOn/kOff force it.
 enum class AuditMode : std::uint8_t { kDefault, kOn, kOff };
 
 struct SimulatorOptions {
@@ -102,15 +101,21 @@ class Simulator {
 
   // Engine-independent auditor summary: the serial auditor's meters, or
   // the shard auditors' summed meters (audited == false when no auditor
-  // ran). Valid after Run/RunToOutcome.
+  // ran). Valid after Run returned, or after RunToOutcome.
   struct AuditSummary {
     bool audited = false;
     std::uint64_t awake_node_rounds = 0;
     std::uint64_t model_drops = 0;
     std::uint64_t violations = 0;
     std::string report;  // "" when clean
+    // Runs `auditor`'s awake-meter cross-check against the metrics it
+    // observed, then adds its meters and report to this summary.
+    void Add(Auditor& auditor, const Metrics& metrics);
+    // Copies the meters into `out`'s audit fields (untouched unless
+    // audited).
+    void CopyTo(RunOutcome& out) const;
   };
-  AuditSummary Audit() const;
+  const AuditSummary& Audit() const { return audit_; }
 
  private:
   // Shared body of every Run/RunToOutcome overload (exactly one program
@@ -124,7 +129,8 @@ class Simulator {
   static void ClassifyFailure(RunOutcome& out);
   std::uint64_t CountUnfinished() const;
   NodeIndex FirstUnfinishedNode() const;
-  void FillAuditSummary(RunOutcome& out) const;
+  // Fills audit_ from the serial or the shard auditors (run once).
+  void CheckAudit();
 
   const WeightedGraph& graph_;
   SimulatorOptions options_;
@@ -136,9 +142,7 @@ class Simulator {
   std::unique_ptr<ShardedEngine> sharded_;
   // Serial coroutine runs: every node's frame.
   std::unique_ptr<CoroutineProgram> coroutines_;
-  // Filled by Run/RunToOutcome after a sharded run (the shard auditors'
-  // CheckAwakeMeter cross-check runs exactly once, there).
-  AuditSummary sharded_audit_;
+  AuditSummary audit_;  // filled by CheckAudit
   bool ran_ = false;
 };
 

@@ -14,9 +14,12 @@
 #include "smst/graph/generators.h"
 #include "smst/mst/api.h"
 #include "smst/runtime/parallel_runner.h"
+#include "tests/run_identity.h"
 
 namespace smst {
 namespace {
+
+using testing::ExpectIdenticalRuns;
 
 // ---- parsing ----------------------------------------------------------
 
@@ -217,22 +220,6 @@ TEST(FaultSessionTest, SaltRealizesAnIndependentPattern) {
 
 // ---- full-run contracts ------------------------------------------------
 
-void ExpectSameFaultedRun(const MstRunResult& a, const MstRunResult& b) {
-  EXPECT_EQ(a.outcome, b.outcome);  // status, detail, FaultStats, audit
-  EXPECT_EQ(a.tree_edges, b.tree_edges);
-  EXPECT_EQ(a.stats.rounds, b.stats.rounds);
-  EXPECT_EQ(a.stats.total_messages, b.stats.total_messages);
-  EXPECT_EQ(a.stats.total_bits, b.stats.total_bits);
-  EXPECT_EQ(a.stats.awake_node_rounds, b.stats.awake_node_rounds);
-  EXPECT_EQ(a.stats.dropped_messages, b.stats.dropped_messages);
-  ASSERT_EQ(a.node_metrics.size(), b.node_metrics.size());
-  for (std::size_t v = 0; v < a.node_metrics.size(); ++v) {
-    EXPECT_EQ(a.node_metrics[v].awake_rounds, b.node_metrics[v].awake_rounds);
-    EXPECT_EQ(a.node_metrics[v].messages_dropped,
-              b.node_metrics[v].messages_dropped);
-  }
-}
-
 TEST(FaultedRunTest, NullPlanIsABitExactNoOp) {
   Xoshiro256 rng(11);
   const auto g = MakeErdosRenyi(48, 0.15, rng);
@@ -244,7 +231,7 @@ TEST(FaultedRunTest, NullPlanIsABitExactNoOp) {
 
   const auto a = ComputeMst(g, MstAlgorithm::kRandomized, plain);
   const auto b = ComputeMst(g, MstAlgorithm::kRandomized, with_empty_plan);
-  ExpectSameFaultedRun(a, b);
+  ExpectIdenticalRuns(a, b);
   EXPECT_TRUE(a.outcome.Ok());
   EXPECT_EQ(a.outcome.faults, FaultStats{});
 }
@@ -258,7 +245,7 @@ TEST(FaultedRunTest, SamePlanAndSeedReplayExactly) {
   opt.fault_plan = &plan;
   const auto a = ComputeMst(g, MstAlgorithm::kRandomized, opt);
   const auto b = ComputeMst(g, MstAlgorithm::kRandomized, opt);
-  ExpectSameFaultedRun(a, b);
+  ExpectIdenticalRuns(a, b);
 }
 
 TEST(FaultedRunTest, DifferentSeedsRealizeDifferentFaultPatterns) {
@@ -295,7 +282,7 @@ TEST(FaultedRunTest, ThreadCountIsInvisibleInFaultedSweeps) {
   ASSERT_EQ(serial.size(), specs.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
     SCOPED_TRACE("spec " + std::to_string(i));
-    ExpectSameFaultedRun(serial[i], threaded[i]);
+    ExpectIdenticalRuns(serial[i], threaded[i]);
   }
 }
 

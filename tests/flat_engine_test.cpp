@@ -20,9 +20,12 @@
 #include "smst/mst/deterministic_mst.h"
 #include "smst/mst/randomized_mst.h"
 #include "smst/runtime/simulator.h"
+#include "tests/run_identity.h"
 
 namespace smst {
 namespace {
+
+using testing::ExpectIdenticalRuns;
 
 struct Topology {
   std::string name;
@@ -48,78 +51,6 @@ std::vector<Topology> Topologies() {
     cases.push_back({"er-32", MakeErdosRenyi(32, 0.2, rng)});
   }
   return cases;
-}
-
-void ExpectSameLdt(const LdtState& a, const LdtState& b) {
-  EXPECT_EQ(a.fragment_id, b.fragment_id);
-  EXPECT_EQ(a.level, b.level);
-  EXPECT_EQ(a.parent_port, b.parent_port);
-  ASSERT_EQ(a.child_ports.size(), b.child_ports.size());
-  for (std::size_t i = 0; i < a.child_ports.size(); ++i) {
-    EXPECT_EQ(a.child_ports[i], b.child_ports[i]);
-  }
-}
-
-// Every observable of a run must match (the same contract the sharded
-// backend pins against the serial engine).
-void ExpectIdenticalRuns(const MstRunResult& a, const MstRunResult& b) {
-  EXPECT_EQ(a.tree_edges, b.tree_edges);
-  EXPECT_EQ(a.consistency_error, b.consistency_error);
-  EXPECT_EQ(a.phases, b.phases);
-
-  EXPECT_EQ(a.stats.rounds, b.stats.rounds);
-  EXPECT_EQ(a.stats.max_awake, b.stats.max_awake);
-  EXPECT_EQ(a.stats.avg_awake, b.stats.avg_awake);  // exact, same sums
-  EXPECT_EQ(a.stats.total_messages, b.stats.total_messages);
-  EXPECT_EQ(a.stats.total_bits, b.stats.total_bits);
-  EXPECT_EQ(a.stats.max_message_bits, b.stats.max_message_bits);
-  EXPECT_EQ(a.stats.dropped_messages, b.stats.dropped_messages);
-  EXPECT_EQ(a.stats.awake_node_rounds, b.stats.awake_node_rounds);
-
-  ASSERT_EQ(a.node_metrics.size(), b.node_metrics.size());
-  for (std::size_t v = 0; v < a.node_metrics.size(); ++v) {
-    EXPECT_EQ(a.node_metrics[v].awake_rounds, b.node_metrics[v].awake_rounds);
-    EXPECT_EQ(a.node_metrics[v].messages_sent,
-              b.node_metrics[v].messages_sent);
-    EXPECT_EQ(a.node_metrics[v].bits_sent, b.node_metrics[v].bits_sent);
-    EXPECT_EQ(a.node_metrics[v].messages_dropped,
-              b.node_metrics[v].messages_dropped);
-  }
-  EXPECT_EQ(a.wake_times, b.wake_times);
-  EXPECT_EQ(a.fragments_per_phase, b.fragments_per_phase);
-  EXPECT_EQ(a.blue_per_phase, b.blue_per_phase);
-  ASSERT_EQ(a.final_ldt.size(), b.final_ldt.size());
-  for (std::size_t v = 0; v < a.final_ldt.size(); ++v) {
-    ExpectSameLdt(a.final_ldt[v], b.final_ldt[v]);
-  }
-  ASSERT_EQ(a.forest_per_phase.size(), b.forest_per_phase.size());
-  for (std::size_t p = 0; p < a.forest_per_phase.size(); ++p) {
-    ASSERT_EQ(a.forest_per_phase[p].size(), b.forest_per_phase[p].size());
-    for (std::size_t v = 0; v < a.forest_per_phase[p].size(); ++v) {
-      ExpectSameLdt(a.forest_per_phase[p][v], b.forest_per_phase[p][v]);
-    }
-  }
-
-  EXPECT_EQ(a.outcome.status, b.outcome.status);
-  EXPECT_EQ(a.outcome.detail, b.outcome.detail);
-  EXPECT_EQ(a.outcome.unfinished_nodes, b.outcome.unfinished_nodes);
-  EXPECT_EQ(a.outcome.last_round, b.outcome.last_round);
-  EXPECT_EQ(a.outcome.faults.injected_drops, b.outcome.faults.injected_drops);
-  EXPECT_EQ(a.outcome.faults.injected_delays,
-            b.outcome.faults.injected_delays);
-  EXPECT_EQ(a.outcome.faults.delayed_delivered,
-            b.outcome.faults.delayed_delivered);
-  EXPECT_EQ(a.outcome.faults.delayed_lost, b.outcome.faults.delayed_lost);
-  EXPECT_EQ(a.outcome.faults.injected_duplicates,
-            b.outcome.faults.injected_duplicates);
-  EXPECT_EQ(a.outcome.faults.jittered_wakes, b.outcome.faults.jittered_wakes);
-  EXPECT_EQ(a.outcome.faults.suppressed_wakes,
-            b.outcome.faults.suppressed_wakes);
-  EXPECT_EQ(a.outcome.faults.crashed_nodes, b.outcome.faults.crashed_nodes);
-  EXPECT_EQ(a.outcome.audited_awake_node_rounds,
-            b.outcome.audited_awake_node_rounds);
-  EXPECT_EQ(a.outcome.audited_model_drops, b.outcome.audited_model_drops);
-  EXPECT_EQ(a.outcome.audit_violations, b.outcome.audit_violations);
 }
 
 MstRunResult RunWith(const WeightedGraph& g, MstAlgorithm algo,
@@ -197,9 +128,7 @@ TEST(FlatEngineIdentityTest, AuditedRunsMatchIncludingAuditTotals) {
     const MstRunResult flat = RunWith(g, algo, 2, EngineMode::kFlat, 0,
                                       nullptr, AuditMode::kOn);
     ExpectIdenticalRuns(coro, flat);
-#ifndef SMST_NO_AUDITOR  // no auditor exists to meter anything
     EXPECT_GT(flat.outcome.audited_awake_node_rounds, 0u);
-#endif
   }
 }
 

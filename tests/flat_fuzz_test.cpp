@@ -1,7 +1,7 @@
 // Differential fuzz: seed-swept small random graphs, coroutine vs flat
 // engine, both MST algorithms. A cheap, broad net over the lowering —
-// any divergence in the tree, the phase count, or the aggregate meters
-// fails with the generating (topology seed, run seed) pair in the trace.
+// any divergence in any observable (tests/run_identity.h) fails with the
+// generating (topology seed, run seed) pair in the trace.
 #include <cstdint>
 #include <string>
 
@@ -10,9 +10,12 @@
 #include "smst/graph/generators.h"
 #include "smst/mst/api.h"
 #include "smst/runtime/simulator.h"
+#include "tests/run_identity.h"
 
 namespace smst {
 namespace {
+
+using testing::ExpectIdenticalRuns;
 
 MstRunResult RunWith(const WeightedGraph& g, MstAlgorithm algo,
                      std::uint64_t seed, EngineMode engine) {
@@ -33,17 +36,8 @@ TEST(FlatFuzzTest, SeedSweptGraphsMatchAcrossEngines) {
         SCOPED_TRACE("topo_seed " + std::to_string(topo_seed) + " n " +
                      std::to_string(n) + " " + MstAlgorithmName(algo) +
                      " seed " + std::to_string(seed));
-        const MstRunResult a =
-            RunWith(g, algo, seed, EngineMode::kCoroutine);
-        const MstRunResult b = RunWith(g, algo, seed, EngineMode::kFlat);
-        EXPECT_EQ(a.tree_edges, b.tree_edges);
-        EXPECT_EQ(a.consistency_error, b.consistency_error);
-        EXPECT_EQ(a.phases, b.phases);
-        EXPECT_EQ(a.stats.rounds, b.stats.rounds);
-        EXPECT_EQ(a.stats.awake_node_rounds, b.stats.awake_node_rounds);
-        EXPECT_EQ(a.stats.total_messages, b.stats.total_messages);
-        EXPECT_EQ(a.stats.total_bits, b.stats.total_bits);
-        EXPECT_EQ(a.stats.dropped_messages, b.stats.dropped_messages);
+        ExpectIdenticalRuns(RunWith(g, algo, seed, EngineMode::kCoroutine),
+                            RunWith(g, algo, seed, EngineMode::kFlat));
       }
     }
   }

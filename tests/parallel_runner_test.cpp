@@ -3,7 +3,7 @@
 // The batch runner's contract is bit-identical output to a serial loop —
 // every (algorithm, graph, seed) cell derives its randomness only from
 // its own seed, so a 4-thread sweep must reproduce the 1-thread sweep
-// field for field (stats, tree, probes). These tests are also the TSan
+// field for field (tests/run_identity.h). These tests are also the TSan
 // target in CI: they exercise the pool with more threads than cores and
 // with failing jobs in flight.
 #include <cstdint>
@@ -14,34 +14,12 @@
 
 #include "smst/graph/generators.h"
 #include "smst/runtime/parallel_runner.h"
+#include "tests/run_identity.h"
 
 namespace smst {
 namespace {
 
-void ExpectSameStats(const RunStats& a, const RunStats& b) {
-  EXPECT_EQ(a.rounds, b.rounds);
-  EXPECT_EQ(a.max_awake, b.max_awake);
-  EXPECT_EQ(a.avg_awake, b.avg_awake);  // exact: same doubles, same order
-  EXPECT_EQ(a.total_messages, b.total_messages);
-  EXPECT_EQ(a.total_bits, b.total_bits);
-  EXPECT_EQ(a.max_message_bits, b.max_message_bits);
-  EXPECT_EQ(a.dropped_messages, b.dropped_messages);
-  EXPECT_EQ(a.awake_node_rounds, b.awake_node_rounds);
-}
-
-void ExpectSameRun(const MstRunResult& a, const MstRunResult& b) {
-  ExpectSameStats(a.stats, b.stats);
-  EXPECT_EQ(a.tree_edges, b.tree_edges);
-  EXPECT_EQ(a.phases, b.phases);
-  // Probe-derived telemetry (fragment/Blue counts per phase).
-  EXPECT_EQ(a.fragments_per_phase, b.fragments_per_phase);
-  EXPECT_EQ(a.blue_per_phase, b.blue_per_phase);
-  ASSERT_EQ(a.node_metrics.size(), b.node_metrics.size());
-  for (std::size_t v = 0; v < a.node_metrics.size(); ++v) {
-    EXPECT_EQ(a.node_metrics[v].awake_rounds, b.node_metrics[v].awake_rounds);
-    EXPECT_EQ(a.node_metrics[v].bits_sent, b.node_metrics[v].bits_sent);
-  }
-}
+using testing::ExpectIdenticalRuns;
 
 TEST(ParallelRunnerTest, FourThreadSweepMatchesSerialBitForBit) {
   // Both MST algorithms × two sizes × three seeds, as one batch.
@@ -66,7 +44,7 @@ TEST(ParallelRunnerTest, FourThreadSweepMatchesSerialBitForBit) {
   ASSERT_EQ(parallel.size(), specs.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
     SCOPED_TRACE("spec " + std::to_string(i));
-    ExpectSameRun(serial[i], parallel[i]);
+    ExpectIdenticalRuns(serial[i], parallel[i]);
   }
 }
 
@@ -82,7 +60,7 @@ TEST(ParallelRunnerTest, RepeatedParallelBatchesAreStable) {
   const auto second = runner.RunAll(specs);
   for (std::size_t i = 0; i < specs.size(); ++i) {
     SCOPED_TRACE("spec " + std::to_string(i));
-    ExpectSameRun(first[i], second[i]);
+    ExpectIdenticalRuns(first[i], second[i]);
   }
 }
 
@@ -96,7 +74,7 @@ TEST(ParallelRunnerTest, SeedFieldOverridesOptionsSeed) {
       RunSpec{&g, MstAlgorithm::kRandomized, options, 5},  // explicit 5
       RunSpec{&g, MstAlgorithm::kRandomized, options, 6},
   });
-  ExpectSameRun(runs[0], runs[1]);
+  ExpectIdenticalRuns(runs[0], runs[1]);
   EXPECT_EQ(runs[0].tree_edges, runs[2].tree_edges);  // same unique MST
   // Different seed, different coin flips: some execution metric moves.
   EXPECT_NE(runs[0].stats.total_bits, runs[2].stats.total_bits);

@@ -1,9 +1,12 @@
-// Sharded simulator backend: partitioning, the exchange ring, and the
-// headline contract — results, metrics, and outcomes are bit-identical
-// to the serial engine at every shard count, for both partition
-// policies, both MST engines, and with or without an adversary.
+// Sharded simulator backend: partitioning, and the headline contract —
+// results, metrics, and outcomes are bit-identical to the serial engine
+// at every shard count, for both partition policies, both MST engines,
+// with or without an adversary, and however many cross-shard messages
+// one round sends through the per-destination outboxes.
 #include <cstdint>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -12,12 +15,15 @@
 #include "smst/graph/generators.h"
 #include "smst/lower_bounds/grc.h"
 #include "smst/mst/api.h"
-#include "smst/runtime/sharded/exchange.h"
 #include "smst/runtime/sharded/partition.h"
 #include "smst/runtime/simulator.h"
+#include "smst/runtime/task.h"
+#include "tests/run_identity.h"
 
 namespace smst {
 namespace {
+
+using testing::ExpectIdenticalRuns;
 
 // --------------------------------------------------------- partition ---
 
@@ -70,46 +76,6 @@ TEST(ShardPartitionTest, PolicyNamesRoundTrip) {
   EXPECT_THROW(ParseShardPolicy("zigzag"), std::invalid_argument);
 }
 
-// ---------------------------------------------------------- exchange ---
-
-TEST(SpscRingTest, PreservesPushOrderThroughTheSpillPath) {
-  // Capacity 8 with 100 entries forces most of them through the spill
-  // vector; drain order must still equal push order across the seam.
-  SpscRing ring(8);
-  for (std::uint32_t i = 0; i < 100; ++i) {
-    WireEntry e;
-    e.src = i;
-    e.batch_pos = i * 7;
-    ring.Push(e);
-  }
-  std::vector<WireEntry> out;
-  ring.DrainInto(out);
-  ASSERT_EQ(out.size(), 100u);
-  for (std::uint32_t i = 0; i < 100; ++i) {
-    EXPECT_EQ(out[i].src, i);
-    EXPECT_EQ(out[i].batch_pos, i * 7);
-  }
-  EXPECT_TRUE(ring.EmptyUnsynchronized());
-}
-
-TEST(SpscRingTest, DrainThenReuseStaysFifo) {
-  SpscRing ring(8);
-  std::vector<WireEntry> out;
-  for (std::uint32_t round = 0; round < 3; ++round) {
-    for (std::uint32_t i = 0; i < 5; ++i) {
-      WireEntry e;
-      e.src = round * 100 + i;
-      ring.Push(e);
-    }
-    out.clear();
-    ring.DrainInto(out);
-    ASSERT_EQ(out.size(), 5u);
-    for (std::uint32_t i = 0; i < 5; ++i) {
-      EXPECT_EQ(out[i].src, round * 100 + i);
-    }
-  }
-}
-
 // ------------------------------------------------------- bit-identity --
 
 struct Topology {
@@ -136,79 +102,6 @@ std::vector<Topology> Topologies() {
     cases.push_back({"er-32", MakeErdosRenyi(32, 0.2, rng)});
   }
   return cases;
-}
-
-void ExpectSameLdt(const LdtState& a, const LdtState& b) {
-  EXPECT_EQ(a.fragment_id, b.fragment_id);
-  EXPECT_EQ(a.level, b.level);
-  EXPECT_EQ(a.parent_port, b.parent_port);
-  ASSERT_EQ(a.child_ports.size(), b.child_ports.size());
-  for (std::size_t i = 0; i < a.child_ports.size(); ++i) {
-    EXPECT_EQ(a.child_ports[i], b.child_ports[i]);
-  }
-}
-
-// Every observable of a run must match: the tree, all aggregate and
-// per-node metrics, telemetry, the classified outcome, and the fault
-// and audit meters.
-void ExpectIdenticalRuns(const MstRunResult& a, const MstRunResult& b) {
-  EXPECT_EQ(a.tree_edges, b.tree_edges);
-  EXPECT_EQ(a.consistency_error, b.consistency_error);
-  EXPECT_EQ(a.phases, b.phases);
-
-  EXPECT_EQ(a.stats.rounds, b.stats.rounds);
-  EXPECT_EQ(a.stats.max_awake, b.stats.max_awake);
-  EXPECT_EQ(a.stats.avg_awake, b.stats.avg_awake);  // exact, same sums
-  EXPECT_EQ(a.stats.total_messages, b.stats.total_messages);
-  EXPECT_EQ(a.stats.total_bits, b.stats.total_bits);
-  EXPECT_EQ(a.stats.max_message_bits, b.stats.max_message_bits);
-  EXPECT_EQ(a.stats.dropped_messages, b.stats.dropped_messages);
-  EXPECT_EQ(a.stats.awake_node_rounds, b.stats.awake_node_rounds);
-
-  ASSERT_EQ(a.node_metrics.size(), b.node_metrics.size());
-  for (std::size_t v = 0; v < a.node_metrics.size(); ++v) {
-    EXPECT_EQ(a.node_metrics[v].awake_rounds, b.node_metrics[v].awake_rounds);
-    EXPECT_EQ(a.node_metrics[v].messages_sent,
-              b.node_metrics[v].messages_sent);
-    EXPECT_EQ(a.node_metrics[v].bits_sent, b.node_metrics[v].bits_sent);
-    EXPECT_EQ(a.node_metrics[v].messages_dropped,
-              b.node_metrics[v].messages_dropped);
-  }
-  EXPECT_EQ(a.wake_times, b.wake_times);
-  EXPECT_EQ(a.fragments_per_phase, b.fragments_per_phase);
-  EXPECT_EQ(a.blue_per_phase, b.blue_per_phase);
-  ASSERT_EQ(a.final_ldt.size(), b.final_ldt.size());
-  for (std::size_t v = 0; v < a.final_ldt.size(); ++v) {
-    ExpectSameLdt(a.final_ldt[v], b.final_ldt[v]);
-  }
-  ASSERT_EQ(a.forest_per_phase.size(), b.forest_per_phase.size());
-  for (std::size_t p = 0; p < a.forest_per_phase.size(); ++p) {
-    ASSERT_EQ(a.forest_per_phase[p].size(), b.forest_per_phase[p].size());
-    for (std::size_t v = 0; v < a.forest_per_phase[p].size(); ++v) {
-      ExpectSameLdt(a.forest_per_phase[p][v], b.forest_per_phase[p][v]);
-    }
-  }
-
-  EXPECT_EQ(a.outcome.status, b.outcome.status);
-  EXPECT_EQ(a.outcome.detail, b.outcome.detail);
-  EXPECT_EQ(a.outcome.unfinished_nodes, b.outcome.unfinished_nodes);
-  EXPECT_EQ(a.outcome.last_round, b.outcome.last_round);
-  EXPECT_EQ(a.outcome.faults.injected_drops, b.outcome.faults.injected_drops);
-  EXPECT_EQ(a.outcome.faults.injected_delays,
-            b.outcome.faults.injected_delays);
-  EXPECT_EQ(a.outcome.faults.delayed_delivered,
-            b.outcome.faults.delayed_delivered);
-  EXPECT_EQ(a.outcome.faults.delayed_lost, b.outcome.faults.delayed_lost);
-  EXPECT_EQ(a.outcome.faults.injected_duplicates,
-            b.outcome.faults.injected_duplicates);
-  EXPECT_EQ(a.outcome.faults.jittered_wakes, b.outcome.faults.jittered_wakes);
-  EXPECT_EQ(a.outcome.faults.suppressed_wakes,
-            b.outcome.faults.suppressed_wakes);
-  EXPECT_EQ(a.outcome.faults.crashed_nodes, b.outcome.faults.crashed_nodes);
-  EXPECT_EQ(a.outcome.audited_awake_node_rounds,
-            b.outcome.audited_awake_node_rounds);
-  EXPECT_EQ(a.outcome.audited_model_drops, b.outcome.audited_model_drops);
-  EXPECT_EQ(a.outcome.audit_violations, b.outcome.audit_violations);
 }
 
 MstRunResult RunWith(const WeightedGraph& g, MstAlgorithm algo,
@@ -283,6 +176,79 @@ TEST(ShardedIdentityTest, OverProvisionedShardCountClamps) {
   ExpectIdenticalRuns(serial,
                       RunWith(g, MstAlgorithm::kRandomized, 2, 64,
                               ShardPolicy::kRoundRobin, nullptr));
+}
+
+// (port, sender ID, send round) of every message a node received, in
+// arrival order.
+using ReceiveLog =
+    std::vector<std::tuple<std::uint32_t, std::uint64_t, std::uint64_t>>;
+
+// All-awake chatter: every node sends on every port in rounds 1..3 and
+// logs its inbox, except that every fifth leaf sleeps through round 2,
+// so the hub's sends to it are model drops charged at the receiving
+// shard.
+Task<void> Chatter(NodeContext& ctx, ReceiveLog* log) {
+  for (Round r = 1; r <= 3; ++r) {
+    if (r == 2 && ctx.Index() != 0 && ctx.Index() % 5 == 0) continue;
+    SendBatch sends;
+    for (std::uint32_t p = 0; p < ctx.Degree(); ++p) {
+      sends.push_back(OutMessage{p, Message{1, ctx.Id(), r, 0}});
+    }
+    const InboxBatch inbox = co_await ctx.Awake(r, std::move(sends));
+    for (const InMessage& in : inbox) {
+      log->emplace_back(in.port, in.msg.a, in.msg.b);
+    }
+  }
+}
+
+struct ChatterRun {
+  MstRunResult result;  // metrics and outcome only; no tree
+  std::vector<ReceiveLog> logs;
+};
+
+ChatterRun RunChatter(const WeightedGraph& g, std::uint32_t shards,
+                      const FaultPlan* plan) {
+  SimulatorOptions opt;
+  opt.seed = 3;
+  opt.shards = shards;
+  opt.shard_policy = ShardPolicy::kRoundRobin;
+  opt.fault_plan = plan;
+  opt.audit = AuditMode::kOn;
+  opt.record_wake_times = true;
+  ChatterRun run;
+  run.logs.resize(g.NumNodes());
+  Simulator sim(g, opt);
+  run.result.outcome = sim.RunToOutcome([&run](NodeContext& ctx) {
+    return Chatter(ctx, &run.logs[ctx.Index()]);
+  });
+  run.result.stats = sim.Stats();
+  run.result.node_metrics = sim.GetMetrics().PerNode();
+  for (const NodeMetrics& m : run.result.node_metrics) {
+    run.result.wake_times.push_back(m.wake_times);
+  }
+  return run;
+}
+
+TEST(ShardedIdentityTest, OverRingCapacityRoundMatchesSerial) {
+  // A star's hub is node 0, so round-robin puts it on shard 0 and an
+  // even share of the leaves on every other shard: with 7400 nodes each
+  // round sends over 1024 entries (the capacity of the lock-free ring
+  // this exchange used to be) through every (0, t) pair and back.
+  Xoshiro256 rng(63);
+  const auto g = MakeStar(7400, rng);
+  const FaultPlan plan = ParseFaultPlan("salt=9,drop=0.01,delay=1:0.05,dup=0.05");
+  for (const FaultPlan* p : {static_cast<const FaultPlan*>(nullptr), &plan}) {
+    const ChatterRun serial = RunChatter(g, 0, p);
+    EXPECT_TRUE(serial.result.outcome.Ok());
+    EXPECT_GT(serial.result.stats.dropped_messages, 0u);
+    for (std::uint32_t shards : {3u, 7u}) {
+      SCOPED_TRACE(std::string(p ? "faulted" : "clean") + " shards " +
+                   std::to_string(shards));
+      const ChatterRun sharded = RunChatter(g, shards, p);
+      ExpectIdenticalRuns(serial.result, sharded.result);
+      EXPECT_EQ(serial.logs, sharded.logs);
+    }
+  }
 }
 
 TEST(ShardedIdentityTest, TracingRequiresTheSerialEngine) {

@@ -10,6 +10,7 @@
 
 #include "smst/graph/generators.h"
 #include "smst/graph/mst_verify.h"
+#include "smst/mst/api.h"
 #include "smst/mst/deterministic_mst.h"
 #include "smst/util/table.h"
 
@@ -31,10 +32,8 @@ int main() {
       fast_opt.seed = 1;
       auto fast = smst::RunDeterministicMst(g, fast_opt);
 
-      smst::MstOptions star_opt;
-      star_opt.seed = 1;
-      star_opt.coloring = smst::ColoringVariant::kLogStar;
-      auto star = smst::RunDeterministicMst(g, star_opt);
+      auto star = smst::ComputeMst(
+          g, smst::MstAlgorithm::kDeterministicLogStar, {.seed = 1});
 
       for (const auto* r : {&fast, &star}) {
         auto check = smst::VerifyExactMst(g, r->tree_edges);

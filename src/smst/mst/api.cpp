@@ -26,12 +26,8 @@ MstRunResult ComputeMst(const WeightedGraph& g, MstAlgorithm algorithm,
     case MstAlgorithm::kRandomized:
       return RunRandomizedMst(g, options);
     case MstAlgorithm::kDeterministic:
-      return RunDeterministicMst(g, options);
-    case MstAlgorithm::kDeterministicLogStar: {
-      MstOptions opt = options;
-      opt.coloring = ColoringVariant::kLogStar;
-      return RunDeterministicMst(g, opt);
-    }
+    case MstAlgorithm::kDeterministicLogStar:
+      return RunDeterministicMst(g, options, algorithm);
     case MstAlgorithm::kGhsBaseline:
       return RunGhsBaseline(g, options);
     case MstAlgorithm::kBmSpanningTree:
@@ -40,15 +36,8 @@ MstRunResult ComputeMst(const WeightedGraph& g, MstAlgorithm algorithm,
   throw std::invalid_argument("unknown algorithm");
 }
 
-bool SupportsFlatEngine(MstAlgorithm algorithm, const MstOptions& options) {
-  switch (algorithm) {
-    case MstAlgorithm::kDeterministic:
-      return options.coloring == ColoringVariant::kFastAwake;
-    case MstAlgorithm::kDeterministicLogStar:
-      return false;
-    default:
-      return true;
-  }
+bool SupportsFlatEngine(MstAlgorithm algorithm, const MstOptions&) {
+  return algorithm != MstAlgorithm::kDeterministicLogStar;
 }
 
 }  // namespace smst

@@ -1,20 +1,62 @@
-// Internals shared by the GHS-style sleeping algorithms (Randomized-MST
-// and the Barenboim-Maimon-style spanning tree, which is the same engine
-// with a different edge-selection rule). Not part of the public API.
+// Internals shared by the MST drivers: the run harness both the
+// randomized and the deterministic driver run through, and the pieces of
+// the GHS-style sleeping algorithms (Randomized-MST and the
+// Barenboim-Maimon-style spanning tree, which is the same engine with a
+// different edge-selection rule). Not part of the public API.
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <vector>
 
 #include "smst/graph/graph.h"
 #include "smst/mst/options.h"
 #include "smst/mst/result.h"
+#include "smst/runtime/coroutine_program.h"
+#include "smst/runtime/flat/program.h"
 #include "smst/runtime/node.h"
 #include "smst/runtime/trace.h"
 #include "smst/sleeping/ldt.h"
 #include "smst/sleeping/procedures.h"
 
 namespace smst::detail {
+
+// What a driver's node programs read and write during one run, besides
+// their own state. Every output is written at node-indexed cells by that
+// node alone, except the forest snapshots: they grow lazily as phases
+// complete, and under the sharded engine nodes on different workers hit
+// that growth concurrently, so Snapshot takes a lock. The final contents
+// are order-independent: cell (phase-1, v) is written by node v alone.
+struct RunShared {
+  RunShared(const WeightedGraph& graph, const MstOptions& options,
+            std::uint64_t phase_cap);
+
+  const WeightedGraph* g;
+  TerminationMode termination;
+  std::uint64_t phase_cap;
+  bool record_snapshots;
+  std::vector<std::vector<bool>> port_marks;  // per node, per port
+  std::vector<LdtState> final_ldt;
+  std::vector<std::uint64_t> phases_done;  // last active phase per node
+  std::vector<std::vector<LdtState>> snapshots;
+  std::mutex snapshot_mutex;
+
+  void Snapshot(std::uint64_t phase, NodeIndex v, const LdtState& ldt);
+};
+
+// Runs one driver's node programs under `options`: `coro` on the
+// coroutine engine or `flat` on the flat one (exactly one is non-null,
+// matching options.engine; the flat program is freed before assembly).
+// A fault-free run throws on failure; under a non-empty fault plan the
+// failure is classified into the result's outcome instead. Assembles the
+// result from `sh`: the tree from the port marks, the phase count from
+// the last active phase, the snapshots cut to it. `trace` (serial runs
+// only) receives the per-awake events.
+MstRunResult RunDriver(const WeightedGraph& g, const MstOptions& options,
+                       RunShared& sh, const NodeProgram* coro,
+                       std::unique_ptr<FlatProgram> flat,
+                       const TraceSink& trace = {});
 
 enum class SelectionRule {
   kMinWeight,      // choose the minimum-weight outgoing edge -> MST

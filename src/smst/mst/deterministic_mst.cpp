@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <mutex>
+#include <memory>
 #include <stdexcept>
 #include <string>
 
@@ -26,29 +26,9 @@ constexpr std::uint16_t kTagVerdict = 114;      // a=weight, b=selected?
 constexpr std::uint16_t kTagValidity = 115;     // a=0 valid/1 invalid, b=target
 constexpr std::uint16_t kTagNbrInfo = 116;      // a=weight, b=frag, c=outgoing
 
-struct Shared {
-  const WeightedGraph* g = nullptr;
-  TerminationMode termination = TerminationMode::kEarlyDetect;
-  ColoringVariant coloring = ColoringVariant::kFastAwake;
-  std::uint64_t phase_cap = 0;
-  bool record_snapshots = false;
-  std::vector<std::vector<bool>> port_marks;
-  std::vector<LdtState> final_ldt;
-  std::vector<std::uint64_t> phases_done;
-  std::vector<std::vector<LdtState>> snapshots;
-  // Lazy growth races across shard workers; the telemetry path locks
-  // (same rationale as the randomized engine's Shared — cell contents
-  // are order-independent, everything else is disjoint-slot writes).
-  std::mutex snapshot_mutex;
-
-  void Snapshot(std::uint64_t phase, NodeIndex v, const LdtState& ldt) {
-    if (!record_snapshots) return;
-    std::lock_guard<std::mutex> lock(snapshot_mutex);
-    if (snapshots.size() < phase) {
-      snapshots.resize(phase, std::vector<LdtState>(g->NumNodes()));
-    }
-    snapshots[phase - 1][v] = ldt;
-  }
+struct Shared : detail::RunShared {
+  using RunShared::RunShared;
+  bool log_star = false;  // Corollary 1's coloring instead of Fast-Awake
 };
 
 // A valid-MOE edge incident to this node.
@@ -67,7 +47,7 @@ Task<void> NodeMain(NodeContext& ctx, Shared* sh) {
   std::vector<NodeId> nbr_frag(ctx.Degree(), 0);
   BlockCursor cursor(1, n);
 
-  const bool log_star = sh->coloring == ColoringVariant::kLogStar;
+  const bool log_star = sh->log_star;
   const std::uint64_t coloring_blocks =
       log_star ? LogStarColoringBlocks(n, N) : kColoringBlocksPerStage * N;
   const std::uint64_t blocks_per_phase =
@@ -629,63 +609,36 @@ std::uint64_t DeterministicPaperPhaseCount(std::size_t n) {
 }
 
 MstRunResult RunDeterministicMst(const WeightedGraph& g,
-                                 const MstOptions& options) {
-  if (options.engine == EngineMode::kFlat &&
-      options.coloring == ColoringVariant::kLogStar) {
+                                 const MstOptions& options,
+                                 MstAlgorithm variant) {
+  if (variant != MstAlgorithm::kDeterministic &&
+      variant != MstAlgorithm::kDeterministicLogStar) {
+    throw std::invalid_argument(std::string("RunDeterministicMst cannot run ") +
+                                MstAlgorithmName(variant));
+  }
+  const bool log_star = variant == MstAlgorithm::kDeterministicLogStar;
+  if (options.engine == EngineMode::kFlat && log_star) {
     throw std::invalid_argument(
         "the flat engine supports only the fast-awake coloring "
         "(use --engine coroutine for logstar)");
   }
-  Shared sh;
-  sh.g = &g;
-  sh.termination = options.termination;
-  sh.coloring = options.coloring;
-  sh.record_snapshots = options.record_forest_snapshots;
   // Each phase with >= 2 fragments retires at least one (every H
   // component loses its Blue fragments; every singleton merges), so n+1
   // phases always suffice; the paper's budget is the w.h.p.-style
   // worst-case constant-factor bound.
-  sh.phase_cap = options.termination == TerminationMode::kPaperPhaseCount
-                     ? DeterministicPaperPhaseCount(g.NumNodes())
-                     : g.NumNodes() + 1;
-  for (NodeIndex v = 0; v < g.NumNodes(); ++v) {
-    sh.port_marks.emplace_back(g.DegreeOf(v), false);
-  }
-  sh.final_ldt.resize(g.NumNodes());
-  sh.phases_done.resize(g.NumNodes(), 0);
-
-  SimulatorOptions sim_options;
-  sim_options.seed = options.seed;
-  sim_options.max_rounds = options.max_rounds;
-  sim_options.record_wake_times = options.record_wake_times;
-  sim_options.fault_plan = options.fault_plan;
-  sim_options.audit = options.audit;
-  sim_options.shards = options.shards;
-  sim_options.shard_policy = options.shard_policy;
-  sim_options.engine = options.engine;
-  const bool faulted =
-      options.fault_plan != nullptr && !options.fault_plan->Empty();
-  Simulator sim(g, sim_options);
-  RunOutcome outcome;
+  Shared sh(g, options,
+            options.termination == TerminationMode::kPaperPhaseCount
+                ? DeterministicPaperPhaseCount(g.NumNodes())
+                : g.NumNodes() + 1);
+  sh.log_star = log_star;
   if (options.engine == EngineMode::kFlat) {
-    FlatDetProgram program(g, &sh);
-    outcome = DriveProgram(sim, nullptr, &program, faulted);
-  } else {
-    const NodeProgram program = [&sh](NodeContext& ctx) {
-      return NodeMain(ctx, &sh);
-    };
-    outcome = DriveProgram(sim, &program, nullptr, faulted);
+    return detail::RunDriver(g, options, sh, nullptr,
+                             std::make_unique<FlatDetProgram>(g, &sh));
   }
-
-  std::uint64_t phases = 0;
-  for (auto p : sh.phases_done) phases = std::max(phases, p);
-  auto result = AssembleResult(g, sh.port_marks, sim.GetMetrics(), phases,
-                               std::move(sh.final_ldt));
-  sh.snapshots.resize(std::min<std::size_t>(sh.snapshots.size(), phases));
-  result.forest_per_phase = std::move(sh.snapshots);
-  result.outcome = std::move(outcome);
-  if (faulted) RefineOutcome(result, g.NumNodes());
-  return result;
+  const NodeProgram program = [&sh](NodeContext& ctx) {
+    return NodeMain(ctx, &sh);
+  };
+  return detail::RunDriver(g, options, sh, &program, nullptr);
 }
 
 }  // namespace smst

@@ -30,9 +30,9 @@
 //
 // Each phase costs O(1) awake rounds and O(nN) rounds; O(log n) phases
 // suffice (Lemmas 4-6), giving O(log n) awake and O(nN log n) round
-// complexity (Theorem 2). With ColoringVariant::kLogStar the coloring is
-// replaced by the Corollary-1 log*-round variant: O(log n log* n) awake,
-// O(n log n log* n) rounds.
+// complexity (Theorem 2). As MstAlgorithm::kDeterministicLogStar the
+// coloring is replaced by the Corollary-1 log*-round variant:
+// O(log n log* n) awake, O(n log n log* n) rounds.
 #pragma once
 
 #include "smst/graph/graph.h"
@@ -50,7 +50,12 @@ inline constexpr std::uint64_t kDeterministicFixedBlocksPerPhase = 23;
 // and the bench that explains why we run kEarlyDetect instead.
 std::uint64_t DeterministicPaperPhaseCount(std::size_t n);
 
-MstRunResult RunDeterministicMst(const WeightedGraph& g,
-                                 const MstOptions& options = {});
+// `variant` is kDeterministic (Fast-Awake-Coloring) or
+// kDeterministicLogStar (Corollary 1's log* coloring; coroutine engine
+// only). Anything else, or log* on the flat engine, throws
+// std::invalid_argument.
+MstRunResult RunDeterministicMst(
+    const WeightedGraph& g, const MstOptions& options = {},
+    MstAlgorithm variant = MstAlgorithm::kDeterministic);
 
 }  // namespace smst

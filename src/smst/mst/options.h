@@ -28,15 +28,9 @@ enum class TerminationMode {
   kPaperPhaseCount,
 };
 
-enum class ColoringVariant {
-  kFastAwake,  // paper §2.3: N stages, O(1) awake, O(nN) rounds/phase
-  kLogStar,    // Corollary 1: O(log* n) awake, O(n log* n) rounds/phase
-};
-
 struct MstOptions {
   std::uint64_t seed = 1;
   TerminationMode termination = TerminationMode::kEarlyDetect;
-  ColoringVariant coloring = ColoringVariant::kFastAwake;
   // Watchdog passed to the simulator.
   Round max_rounds = std::uint64_t{1} << 62;
   // Safety cap on phases in kEarlyDetect mode (generous multiple of the
@@ -71,8 +65,8 @@ struct MstOptions {
   ShardPolicy shard_policy = ShardPolicy::kContiguousBlocks;
   // Execution engine: the coroutine runtime (one frame per node) or the
   // flat batched state machines (DESIGN §13). Bit-identical results; the
-  // flat engine only trades wall-clock time. The deterministic algorithm
-  // supports flat only with the kFastAwake coloring.
+  // flat engine only trades wall-clock time. Every algorithm but
+  // kDeterministicLogStar supports flat (SupportsFlatEngine).
   EngineMode engine = EngineMode::kCoroutine;
 };
 

@@ -1,7 +1,7 @@
 #include "smst/mst/randomized_mst.h"
 
 #include <cmath>
-#include <mutex>
+#include <memory>
 #include <stdexcept>
 #include <string>
 
@@ -22,32 +22,10 @@ constexpr std::uint16_t kTagPhaseCtl = 101;  // a=MOE weight, b=done, c=tails
 constexpr std::uint16_t kTagMoeCoin = 102;   // a=MOE weight, b=tails
 constexpr std::uint16_t kTagValidity = 103;
 
-struct Shared {
-  const WeightedGraph* g = nullptr;
+struct Shared : detail::RunShared {
+  using RunShared::RunShared;
   detail::SelectionRule rule = detail::SelectionRule::kMinWeight;
-  TerminationMode termination = TerminationMode::kEarlyDetect;
-  std::uint64_t phase_cap = 0;
-  bool record_snapshots = false;
   bool adaptive_blocks = false;
-  std::vector<std::vector<bool>> port_marks;
-  std::vector<LdtState> final_ldt;
-  std::vector<std::uint64_t> phases_done;
-  std::vector<std::vector<LdtState>> snapshots;
-  // Snapshots grow lazily as phases complete; under the sharded engine
-  // nodes on different workers hit that growth concurrently, so the
-  // telemetry path takes a lock. Every other Shared field is written at
-  // disjoint (node-indexed) slots and needs none. The final contents are
-  // order-independent: cell (phase-1, v) is written by exactly one node.
-  std::mutex snapshot_mutex;
-
-  void Snapshot(std::uint64_t phase, NodeIndex v, const LdtState& ldt) {
-    if (!record_snapshots) return;
-    std::lock_guard<std::mutex> lock(snapshot_mutex);
-    if (snapshots.size() < phase) {
-      snapshots.resize(phase, std::vector<LdtState>(g->NumNodes()));
-    }
-    snapshots[phase - 1][v] = ldt;
-  }
 };
 
 Task<void> NodeMain(NodeContext& ctx, Shared* sh);
@@ -229,58 +207,24 @@ Round FlatGhsProgram::Advance(NodeIndex v, FlatEnv& env,
 MstRunResult RunEngine(const WeightedGraph& g, const MstOptions& options,
                        detail::SelectionRule rule,
                        const TraceSink& trace = {}) {
-  Shared sh;
-  sh.g = &g;
+  Shared sh(g, options,
+            options.termination == TerminationMode::kPaperPhaseCount
+                ? RandomizedPaperPhaseCount(g.NumNodes())
+                : options.max_phase_factor *
+                      (static_cast<std::uint64_t>(std::ceil(
+                           std::log2(static_cast<double>(g.NumNodes())))) +
+                       2));
   sh.rule = rule;
-  sh.record_snapshots = options.record_forest_snapshots;
   sh.adaptive_blocks = options.adaptive_blocks;
-  sh.termination = options.termination;
-  sh.phase_cap =
-      options.termination == TerminationMode::kPaperPhaseCount
-          ? RandomizedPaperPhaseCount(g.NumNodes())
-          : options.max_phase_factor *
-                (static_cast<std::uint64_t>(
-                     std::ceil(std::log2(static_cast<double>(g.NumNodes())))) +
-                 2);
-  for (NodeIndex v = 0; v < g.NumNodes(); ++v) {
-    sh.port_marks.emplace_back(g.DegreeOf(v), false);
-  }
-  sh.final_ldt.resize(g.NumNodes());
-  sh.phases_done.resize(g.NumNodes(), 0);
-
-  SimulatorOptions sim_options;
-  sim_options.seed = options.seed;
-  sim_options.max_rounds = options.max_rounds;
-  sim_options.record_wake_times = options.record_wake_times;
-  sim_options.fault_plan = options.fault_plan;
-  sim_options.audit = options.audit;
-  sim_options.shards = options.shards;
-  sim_options.shard_policy = options.shard_policy;
-  sim_options.engine = options.engine;
-  sim_options.trace = trace;
-  const bool faulted =
-      options.fault_plan != nullptr && !options.fault_plan->Empty();
-  Simulator sim(g, sim_options);
-  RunOutcome outcome;
   if (options.engine == EngineMode::kFlat) {
-    FlatGhsProgram program(g, &sh, options.seed);
-    outcome = DriveProgram(sim, nullptr, &program, faulted);
-  } else {
-    const NodeProgram program = [&sh](NodeContext& ctx) {
-      return NodeMain(ctx, &sh);
-    };
-    outcome = DriveProgram(sim, &program, nullptr, faulted);
+    return detail::RunDriver(
+        g, options, sh, nullptr,
+        std::make_unique<FlatGhsProgram>(g, &sh, options.seed), trace);
   }
-
-  std::uint64_t phases = 0;
-  for (auto p : sh.phases_done) phases = std::max(phases, p);
-  auto result = AssembleResult(g, sh.port_marks, sim.GetMetrics(), phases,
-                               std::move(sh.final_ldt));
-  sh.snapshots.resize(std::min<std::size_t>(sh.snapshots.size(), phases));
-  result.forest_per_phase = std::move(sh.snapshots);
-  result.outcome = std::move(outcome);
-  if (faulted) RefineOutcome(result, g.NumNodes());
-  return result;
+  const NodeProgram program = [&sh](NodeContext& ctx) {
+    return NodeMain(ctx, &sh);
+  };
+  return detail::RunDriver(g, options, sh, &program, nullptr, trace);
 }
 
 Task<void> NodeMain(NodeContext& ctx, Shared* sh) {

@@ -1,11 +1,17 @@
 #include "smst/mst/result.h"
 
+#include <algorithm>
 #include <string>
 
+#include "smst/mst/detail.h"
 #include "smst/mst/options.h"
 
 namespace smst {
 
+namespace {
+
+// Turns per-node per-port MST marks into an edge list, filling
+// `consistency_error` on endpoint mismatch.
 MstRunResult AssembleResult(const WeightedGraph& g,
                             const std::vector<std::vector<bool>>& port_marks,
                             const Metrics& metrics, std::uint64_t phases,
@@ -52,6 +58,8 @@ MstRunResult AssembleResult(const WeightedGraph& g,
   return r;
 }
 
+// Runs the program under the dual contract: the throwing Simulator::Run
+// when `faulted` is false, the classifying RunToOutcome when true.
 RunOutcome DriveProgram(Simulator& sim, const NodeProgram* coro,
                         FlatProgram* flat, bool faulted) {
   if (faulted) {
@@ -68,6 +76,10 @@ RunOutcome DriveProgram(Simulator& sim, const NodeProgram* coro,
   return out;
 }
 
+// Refines a faulted run's kCompleted outcome against the assembled
+// result: an endpoint inconsistency or a non-spanning edge set becomes
+// kWrongResult. (Exact weight verification is left to callers with a
+// reference MST, e.g. VerifyMst.)
 void RefineOutcome(MstRunResult& result, std::size_t num_nodes) {
   if (!result.outcome.Ok()) return;
   if (!result.consistency_error.empty()) {
@@ -84,4 +96,64 @@ void RefineOutcome(MstRunResult& result, std::size_t num_nodes) {
   }
 }
 
+}  // namespace
+
+namespace detail {
+
+RunShared::RunShared(const WeightedGraph& graph, const MstOptions& options,
+                     std::uint64_t cap)
+    : g(&graph),
+      termination(options.termination),
+      phase_cap(cap),
+      record_snapshots(options.record_forest_snapshots),
+      final_ldt(graph.NumNodes()),
+      phases_done(graph.NumNodes(), 0) {
+  port_marks.reserve(graph.NumNodes());
+  for (NodeIndex v = 0; v < graph.NumNodes(); ++v) {
+    port_marks.emplace_back(graph.DegreeOf(v), false);
+  }
+}
+
+void RunShared::Snapshot(std::uint64_t phase, NodeIndex v,
+                         const LdtState& ldt) {
+  if (!record_snapshots) return;
+  std::lock_guard<std::mutex> lock(snapshot_mutex);
+  if (snapshots.size() < phase) {
+    snapshots.resize(phase, std::vector<LdtState>(g->NumNodes()));
+  }
+  snapshots[phase - 1][v] = ldt;
+}
+
+MstRunResult RunDriver(const WeightedGraph& g, const MstOptions& options,
+                       RunShared& sh, const NodeProgram* coro,
+                       std::unique_ptr<FlatProgram> flat,
+                       const TraceSink& trace) {
+  SimulatorOptions sim_options;
+  sim_options.seed = options.seed;
+  sim_options.max_rounds = options.max_rounds;
+  sim_options.record_wake_times = options.record_wake_times;
+  sim_options.fault_plan = options.fault_plan;
+  sim_options.audit = options.audit;
+  sim_options.shards = options.shards;
+  sim_options.shard_policy = options.shard_policy;
+  sim_options.engine = options.engine;
+  sim_options.trace = trace;
+  const bool faulted =
+      options.fault_plan != nullptr && !options.fault_plan->Empty();
+  Simulator sim(g, sim_options);
+  RunOutcome outcome = DriveProgram(sim, coro, flat.get(), faulted);
+  flat.reset();  // its per-node state is dead; don't hold it through assembly
+
+  std::uint64_t phases = 0;
+  for (auto p : sh.phases_done) phases = std::max(phases, p);
+  auto result = AssembleResult(g, sh.port_marks, sim.GetMetrics(), phases,
+                               std::move(sh.final_ldt));
+  sh.snapshots.resize(std::min<std::size_t>(sh.snapshots.size(), phases));
+  result.forest_per_phase = std::move(sh.snapshots);
+  result.outcome = std::move(outcome);
+  if (faulted) RefineOutcome(result, g.NumNodes());
+  return result;
+}
+
+}  // namespace detail
 }  // namespace smst

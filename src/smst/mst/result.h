@@ -52,24 +52,4 @@ struct MstRunResult {
   std::vector<std::vector<LdtState>> forest_per_phase;
 };
 
-// Shared by the algorithm harnesses: turns per-node per-port MST marks
-// into an edge list, filling `consistency_error` on endpoint mismatch.
-MstRunResult AssembleResult(const WeightedGraph& g,
-                            const std::vector<std::vector<bool>>& port_marks,
-                            const Metrics& metrics, std::uint64_t phases,
-                            std::vector<LdtState> final_ldt);
-
-// Shared by the algorithm harnesses: runs the program — exactly one of
-// `coro` (SimulatorOptions::engine == kCoroutine) and `flat` (kFlat) is
-// non-null — under the dual contract: the throwing Simulator::Run when
-// `faulted` is false, the classifying RunToOutcome when true.
-RunOutcome DriveProgram(Simulator& sim, const NodeProgram* coro,
-                        FlatProgram* flat, bool faulted);
-
-// Refines a faulted run's kCompleted outcome against the assembled
-// result: an endpoint inconsistency or a non-spanning edge set becomes
-// kWrongResult. (Exact weight verification is left to callers with a
-// reference MST, e.g. VerifyMst.)
-void RefineOutcome(MstRunResult& result, std::size_t num_nodes);
-
 }  // namespace smst

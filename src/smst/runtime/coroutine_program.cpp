@@ -11,21 +11,26 @@ CoroutineProgram::CoroutineProgram(const WeightedGraph& graph,
                                    const ShardPartition* partition,
                                    std::uint32_t shard)
     : partition_(partition) {
+  const std::size_t count = partition != nullptr
+                                ? partition->NodesOf(shard).size()
+                                : graph.NumNodes();
+  contexts_ = std::make_unique<std::optional<NodeContext>[]>(count);
   Xoshiro256 root_rng(seed);
-  const auto spawn = [&](NodeIndex v) {
-    contexts_.emplace_back(graph, v, mailbox_, metrics, root_rng.Split(v));
-  };
-  if (partition != nullptr) {
-    for (const NodeIndex v : partition->NodesOf(shard)) spawn(v);
-  } else {
-    for (NodeIndex v = 0; v < graph.NumNodes(); ++v) spawn(v);
+  for (std::size_t i = 0; i < count; ++i) {
+    const NodeIndex v = partition != nullptr ? partition->NodesOf(shard)[i]
+                                             : static_cast<NodeIndex>(i);
+    contexts_[i].emplace(graph, v, mailbox_, metrics, root_rng.Split(v));
   }
-  runners_.reserve(contexts_.size());
-  for (NodeContext& ctx : contexts_) runners_.emplace_back(program(ctx));
-  frames_.resize(contexts_.size());
+  const FramePool::Scope scope(pool_);
+  runners_.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    runners_.emplace_back(program(*contexts_[i]));
+  }
+  frames_.resize(count);
 }
 
 Round CoroutineProgram::Start(NodeIndex v, FlatEnv&, SendBatch& sends) {
+  const FramePool::Scope scope(pool_);
   const std::size_t i = Local(v);
   mailbox_.sends = &sends;
   mailbox_.suspended = {};
@@ -35,6 +40,7 @@ Round CoroutineProgram::Start(NodeIndex v, FlatEnv&, SendBatch& sends) {
 
 Round CoroutineProgram::Step(NodeIndex v, Round now, FlatEnv&,
                              const InboxBatch& inbox, SendBatch& sends) {
+  const FramePool::Scope scope(pool_);
   const std::size_t i = Local(v);
   mailbox_.now = now;
   mailbox_.inbox = &inbox;
@@ -56,7 +62,7 @@ Round CoroutineProgram::Outcome(std::size_t i) {
   if (mailbox_.next == kFlatDone) {
     // Round 0 is the flat form's "finished"; as a wake request it is
     // simply not after the clock.
-    throw std::logic_error("node " + std::to_string(contexts_[i].Index()) +
+    throw std::logic_error("node " + std::to_string(contexts_[i]->Index()) +
                            " requested awake round 0 but the clock is "
                            "already at " + std::to_string(mailbox_.now));
   }

@@ -10,14 +10,16 @@
 // the task has finished — rethrowing the task's exception, so a failed
 // coroutine marks its node failed exactly like a throwing flat program.
 //
-// One instance serves the nodes of one engine core; the sharded engine
-// builds one per shard on that shard's worker thread, so the frames are
-// carved from the worker's frame-pool arena (DESIGN.md §12).
+// One instance serves the nodes of one engine core (the sharded engine
+// builds one per shard on that shard's worker thread) and owns the frame
+// pool its frames come from (frame_pool.h): it installs the pool while it
+// spawns and resumes frames, and the pool's slabs go with the instance.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
+#include <memory>
+#include <optional>
 #include <vector>
 
 #include "smst/graph/graph.h"
@@ -57,10 +59,10 @@ class CoroutineProgram final : public FlatProgram {
 
   const ShardPartition* partition_;
   AwakeMailbox mailbox_;
+  FramePool pool_;  // declared before the frames: destroyed after them
   // Contexts must be address-stable (frames hold references) and outlive
-  // the tasks. The deque's chunks come from the frame pool: on a worker
-  // thread plain malloc is arena-growth-bound (see frame_pool.cpp).
-  std::deque<NodeContext, FramePoolAllocator<NodeContext>> contexts_;
+  // the tasks: one allocation of the owned-node count, filled in place.
+  std::unique_ptr<std::optional<NodeContext>[]> contexts_;
   std::vector<TaskRunner> runners_;  // parallel to contexts_
   // The innermost frame each node is suspended in (resumed by Step).
   std::vector<std::coroutine_handle<>> frames_;

@@ -1,168 +1,98 @@
 #include "smst/runtime/frame_pool.h"
 
-#include <cstddef>
-#include <mutex>
+#include <sanitizer/asan_interface.h>
+
 #include <new>
-#include <utility>
-#include <vector>
 
 namespace smst {
 
 namespace {
 
-// Frames are rounded up to 64-byte size classes; anything above 8 KiB
-// bypasses the pool. The largest frame in this codebase today is the
-// randomized-MST NodeMain at ~4.7 KiB (inline message batches make
-// frames wide), so the cap leaves roughly 2x headroom.
-constexpr std::size_t kGranularity = 64;
-constexpr std::size_t kMaxPooledBytes = 8192;
-constexpr std::size_t kNumBuckets = kMaxPooledBytes / kGranularity;
-
-// Fresh blocks are carved from slabs this large. One slab allocation
-// amortizes the allocator's per-request cost over thousands of frames,
-// which matters on worker threads: glibc grows a thread's malloc arena
-// in small syscall-metered steps, and under sandboxed kernels a
-// per-frame 4 KiB arena extension costs microseconds — spawning 10^6
-// node coroutines that way took seconds, versus milliseconds from
-// slabs (large requests go straight to mmap, bypassing the arena).
 constexpr std::size_t kSlabBytes = std::size_t{1} << 20;
 
-struct FreeBlock {
-  FreeBlock* next;
+// Precedes every frame, pooled or not; 16 bytes keeps the frame itself
+// aligned for any fundamental type, as operator new must.
+struct alignas(16) BlockHeader {
+  FramePool* owner;  // null: global operator new
 };
+constexpr std::size_t kHeaderBytes = sizeof(BlockHeader);
 
-// Process-lifetime slab and orphan store. Slabs are deliberately
-// immortal: a frame allocated on a sharded-engine worker is released on
-// the main thread at engine teardown, after the worker has exited, so
-// slab memory must outlive the thread that carved it. The registry
-// object itself is heap-born and never destroyed (see Registry()) so
-// exiting threads can donate during any stage of shutdown.
-//
-// What exiting threads donate under the mutex:
-//  * their free lists (per size class), so the parallel runner's next
-//    wave of workers reuses blocks instead of carving new slabs, and
-//  * the unused tail of their current slab (when it can still serve the
-//    largest size class), so thread churn strands at most 8 KiB per
-//    exit rather than up to a whole slab.
-//
-// Donations are kept as a stack of whole lists per size class, one
-// entry per donating thread, never spliced: donating is O(buckets)
-// (no walk to a tail), and a refilling thread adopts exactly one
-// donated list per bucket. K symmetric donors therefore feed K later
-// workers evenly — splicing everything into one chain would instead
-// hand the whole pool to whichever worker refills first and leave the
-// rest carving fresh (fault-expensive) slab pages.
-struct SlabRegistry {
-  std::mutex mu;
-  std::vector<FreeBlock*> orphan_lists[kNumBuckets];
-  std::vector<std::pair<char*, char*>> partial_slabs;
-};
-
-SlabRegistry& Registry() {
-  static SlabRegistry* r = new SlabRegistry;
-  return *r;
+constexpr std::size_t BucketOf(std::size_t block_bytes) {
+  return (block_bytes - 1) / FramePool::kGranularity;
 }
 
-// One arena per thread: private free lists and a private bump region,
-// no synchronization on the allocate/release hot path. The registry
-// mutex is touched only when the bump region runs dry (once per slab,
-// i.e. once per ~16k small frames) and at thread exit.
-struct Arena {
-  FreeBlock* heads[kNumBuckets] = {};
-  char* slab_cur = nullptr;
-  char* slab_end = nullptr;
-  FramePoolStats stats;
-
-  ~Arena() {
-    SlabRegistry& reg = Registry();
-    std::lock_guard<std::mutex> lock(reg.mu);
-    for (std::size_t b = 0; b < kNumBuckets; ++b) {
-      if (heads[b] != nullptr) reg.orphan_lists[b].push_back(heads[b]);
-    }
-    if (static_cast<std::size_t>(slab_end - slab_cur) >= kMaxPooledBytes) {
-      reg.partial_slabs.emplace_back(slab_cur, slab_end);
-    }
-  }
-};
-
-thread_local Arena t_arena;
-
-constexpr std::size_t BucketOf(std::size_t bytes) {
-  return (bytes + kGranularity - 1) / kGranularity - 1;
-}
-
-// Refills the calling thread's arena: adopts one donated free list per
-// empty size class (see the SlabRegistry comment for why one, not all),
-// then ensures the bump region can serve any pooled size class — from a
-// donated partial slab if one is waiting, else a fresh slab.
-void Refill(Arena& a) {
-  SlabRegistry& reg = Registry();
-  bool need_slab;
-  {
-    std::lock_guard<std::mutex> lock(reg.mu);
-    for (std::size_t b = 0; b < kNumBuckets; ++b) {
-      if (a.heads[b] != nullptr || reg.orphan_lists[b].empty()) continue;
-      a.heads[b] = reg.orphan_lists[b].back();
-      reg.orphan_lists[b].pop_back();
-    }
-    need_slab =
-        static_cast<std::size_t>(a.slab_end - a.slab_cur) < kMaxPooledBytes;
-    if (need_slab && !reg.partial_slabs.empty()) {
-      std::tie(a.slab_cur, a.slab_end) = reg.partial_slabs.back();
-      reg.partial_slabs.pop_back();
-      need_slab = false;
-    }
-  }
-  if (need_slab) {
-    char* slab = static_cast<char*>(::operator new(kSlabBytes));
-    a.slab_cur = slab;
-    a.slab_end = slab + kSlabBytes;
-  }
-}
+thread_local FramePool* t_current = nullptr;
 
 }  // namespace
 
+FramePool::~FramePool() {
+  while (char* slab = slabs_) {
+    ASAN_UNPOISON_MEMORY_REGION(slab, kSlabBytes);
+    slabs_ = *reinterpret_cast<char**>(slab);
+    ::operator delete(slab);
+  }
+}
+
+FramePool::Scope::Scope(FramePool& pool) : saved_(t_current) {
+  t_current = &pool;
+}
+
+FramePool::Scope::~Scope() { t_current = saved_; }
+
+void* FramePool::Take(std::size_t bucket) {
+  const std::size_t block = (bucket + 1) * kGranularity;
+  if (FreeBlock* head = heads_[bucket]) {
+    ASAN_UNPOISON_MEMORY_REGION(head, block);
+    heads_[bucket] = head->next;
+    return head;
+  }
+  if (static_cast<std::size_t>(end_ - cur_) < block) {
+    // A slab's first header-sized bytes link it to the previous slab.
+    char* slab = static_cast<char*>(::operator new(kSlabBytes));
+    *reinterpret_cast<char**>(slab) = slabs_;
+    slabs_ = slab;
+    cur_ = slab + kHeaderBytes;
+    end_ = slab + kSlabBytes;
+  }
+  void* p = cur_;
+  cur_ += block;
+  ++fresh_blocks_;
+  return p;
+}
+
+void FramePool::Give(void* block, std::size_t bucket) noexcept {
+  FreeBlock* b = static_cast<FreeBlock*>(block);
+  b->next = heads_[bucket];
+  heads_[bucket] = b;
+  ASAN_POISON_MEMORY_REGION(b, (bucket + 1) * kGranularity);
+}
+
 void* FrameAllocate(std::size_t bytes) {
-  if (bytes == 0) bytes = 1;
-  if (bytes > kMaxPooledBytes) {
-    ++t_arena.stats.oversized;
-    return ::operator new(bytes);
+  const std::size_t total = bytes + kHeaderBytes;
+  FramePool* pool = t_current;
+  void* block;
+  if (pool != nullptr && total <= FramePool::kMaxPooledBytes) {
+    block = pool->Take(BucketOf(total));
+  } else {
+    pool = nullptr;
+    block = ::operator new(total);
   }
-  Arena& a = t_arena;
-  const std::size_t b = BucketOf(bytes);
-  const std::size_t block = (b + 1) * kGranularity;
-  for (;;) {
-    if (FreeBlock* head = a.heads[b]) {
-      a.heads[b] = head->next;
-      ++a.stats.pool_hits;
-      return head;
-    }
-    if (static_cast<std::size_t>(a.slab_end - a.slab_cur) >= block) {
-      void* p = a.slab_cur;
-      a.slab_cur += block;
-      ++a.stats.fresh_blocks;
-      return p;
-    }
-    // At most one Refill per allocation: afterwards the bump region
-    // holds at least kMaxPooledBytes, so the carve above succeeds.
-    Refill(a);
-  }
+  static_cast<BlockHeader*>(block)->owner = pool;
+  return static_cast<char*>(block) + kHeaderBytes;
 }
 
 void FrameDeallocate(void* p, std::size_t bytes) noexcept {
-  if (p == nullptr) return;
-  if (bytes == 0) bytes = 1;
-  if (bytes <= kMaxPooledBytes) {
-    Arena& a = t_arena;
-    const std::size_t b = BucketOf(bytes);
-    FreeBlock* block = static_cast<FreeBlock*>(p);
-    block->next = a.heads[b];
-    a.heads[b] = block;
-    return;
+  void* block = static_cast<char*>(p) - kHeaderBytes;
+  const std::size_t total = bytes + kHeaderBytes;
+  if (FramePool* owner = static_cast<BlockHeader*>(block)->owner) {
+    owner->Give(block, BucketOf(total));
+  } else {
+    ::operator delete(block, total);
   }
-  ::operator delete(p);
 }
 
-FramePoolStats GetFramePoolStats() { return t_arena.stats; }
+std::uint64_t CurrentFramePoolFreshBlocks() {
+  return t_current != nullptr ? t_current->FreshBlocks() : 0;
+}
 
 }  // namespace smst

@@ -1,37 +1,25 @@
-// Size-bucketed recycling pool for coroutine frames.
+// Size-bucketed recycling pool for coroutine frames, owned by one run.
 //
 // Every `co_await`ed sub-procedure (Task<T>) allocates one coroutine
 // frame; a single MST run performs millions of such awaits, and the
 // frames come in a handful of distinct sizes (one per coroutine
-// function). This pool intercepts Task's promise-level operator
-// new/delete and recycles freed frames through per-size free lists, so
-// after a brief warm-up the steady-state awake path performs zero heap
-// allocations for frames.
+// function). Task's promise-level operator new/delete route frames
+// through FrameAllocate/FrameDeallocate, which recycle them through the
+// run's pool: per-size free lists, so after a brief warm-up the run's
+// awake path performs zero heap allocations for frames.
 //
-// Threading design (deliberate, verified by the TSan CI job's
-// oversubscribed parallel-runner sweep): the arena is *thread-local*.
-// Each worker thread owns a private set of free lists and a private
-// bump region, so there is no synchronization on the hot path and no
-// false sharing between workers. Fresh blocks are carved from large
-// process-lifetime slabs rather than allocated one by one — per-frame
-// heap allocation grows a worker thread's malloc arena in syscall-sized
-// steps, which is ruinously slow on sandboxed kernels (see the note in
-// frame_pool.cpp). Because slabs never die, a frame may legally outlive
-// the thread that allocated it: the sharded engine's workers spawn
-// frames that the main thread releases at teardown, and the block is
-// then recycled into the *freeing* thread's arena — which is why the
-// sharded engine tears shards down on per-shard reaper threads rather
-// than the main thread. Exiting threads donate their free lists (and
-// slab remainder) to a mutex-protected registry; later threads adopt
-// one donated list per size class, so K symmetric donors feed the next
-// run's K workers evenly, and churning workers through the parallel
-// runner recycles blocks instead of accreting dead arenas.
+// A CoroutineProgram owns one pool (one per serial run, one per shard)
+// and installs it as the thread's current pool (FramePool::Scope) while
+// it spawns and resumes frames. Frames made with no current pool (a bare
+// TaskRunner outside any run) use global operator new/delete. Every
+// block begins with a header naming its pool, so a frame returns to its
+// own pool whichever thread releases it: a sharded run builds a shard's
+// frames on its worker and destroys them on the calling thread after the
+// join. A pool is single-threaded and frees its slabs when destroyed, so
+// it must outlive every frame it served.
 //
-// Build the library with -DSMST_NO_FRAME_POOL (CMake option
-// SMST_NO_FRAME_POOL) to bypass the pool entirely: frames then go
-// straight to global operator new/delete, which is what you want when
-// hunting leaks or use-after-free on coroutine frames with
-// ASan/Valgrind, since pooling otherwise masks both.
+// Free blocks are poisoned for AddressSanitizer (a no-op in other
+// builds), so an ASan build reports a recycled frame being touched.
 #pragma once
 
 #include <cstddef>
@@ -39,47 +27,66 @@
 
 namespace smst {
 
-// Allocates a frame of `bytes` bytes (pool fast path for small frames,
-// global operator new beyond the pooled size range).
+class FramePool {
+ public:
+  // Blocks (frame plus header) come in 64-byte size classes; anything
+  // above 8 KiB bypasses the pool. The largest frame in this codebase is
+  // the randomized-MST NodeMain at ~4.7 KiB, so the cap leaves ~2x room.
+  static constexpr std::size_t kGranularity = 64;
+  static constexpr std::size_t kMaxPooledBytes = 8192;
+  static constexpr std::size_t kNumBuckets = kMaxPooledBytes / kGranularity;
+
+  FramePool() = default;
+  FramePool(const FramePool&) = delete;
+  FramePool& operator=(const FramePool&) = delete;
+  ~FramePool();
+
+  // Makes `pool` the calling thread's current pool for this scope's
+  // lifetime, then restores the previous one (usually none).
+  class Scope {
+   public:
+    explicit Scope(FramePool& pool);
+    ~Scope();
+
+   private:
+    FramePool* saved_;
+  };
+
+  // Blocks carved fresh from a slab so far (the rest were recycled).
+  std::uint64_t FreshBlocks() const { return fresh_blocks_; }
+
+ private:
+  friend void* FrameAllocate(std::size_t bytes);
+  friend void FrameDeallocate(void* p, std::size_t bytes) noexcept;
+
+  struct FreeBlock {
+    FreeBlock* next;
+  };
+
+  void* Take(std::size_t bucket);
+  void Give(void* block, std::size_t bucket) noexcept;
+
+  FreeBlock* heads_[kNumBuckets] = {};
+  // Fresh blocks are carved from 1 MiB slabs: spawning 10^6 node frames
+  // one malloc each takes seconds on a worker thread whose malloc arena
+  // grows in small syscall-metered steps.
+  char* cur_ = nullptr;
+  char* end_ = nullptr;
+  char* slabs_ = nullptr;  // newest slab; each links to the one before
+  std::uint64_t fresh_blocks_ = 0;
+};
+
+// Allocates a frame of `bytes` bytes from the calling thread's current
+// pool, or from global operator new outside any run or beyond the pooled
+// size range.
 void* FrameAllocate(std::size_t bytes);
 
-// Returns a frame previously obtained from FrameAllocate. `bytes` must
-// be the allocation size (coroutine deallocation is sized, so the
-// bucket is recomputed instead of stored per block).
+// Returns a frame obtained from FrameAllocate to where it came from.
+// `bytes` must be the allocation size (coroutine deallocation is sized,
+// so the bucket is recomputed instead of stored per block).
 void FrameDeallocate(void* p, std::size_t bytes) noexcept;
 
-// Standard-allocator shim over the pool, for node-count-sized
-// containers that must grow on worker threads (the sharded backend's
-// per-shard NodeContext deque). Growing such a container through plain
-// malloc trips the same cold-arena pathology the pool exists to avoid;
-// routing its chunks here makes them slab-carved instead. Oversized
-// requests (a deque's pointer map, say) fall through to global
-// operator new exactly like oversized frames do.
-template <class T>
-struct FramePoolAllocator {
-  using value_type = T;
-  FramePoolAllocator() noexcept = default;
-  template <class U>
-  FramePoolAllocator(const FramePoolAllocator<U>&) noexcept {}
-  T* allocate(std::size_t n) {
-    return static_cast<T*>(FrameAllocate(n * sizeof(T)));
-  }
-  void deallocate(T* p, std::size_t n) noexcept {
-    FrameDeallocate(p, n * sizeof(T));
-  }
-  friend bool operator==(const FramePoolAllocator&,
-                         const FramePoolAllocator&) noexcept {
-    return true;
-  }
-};
-
-// Introspection for tests and benches: counters for the calling
-// thread's arena only.
-struct FramePoolStats {
-  std::uint64_t pool_hits = 0;     // served from a free list
-  std::uint64_t fresh_blocks = 0;  // pooled size class, new block
-  std::uint64_t oversized = 0;     // larger than any bucket
-};
-FramePoolStats GetFramePoolStats();
+// FreshBlocks() of the calling thread's current pool (0 outside a run).
+std::uint64_t CurrentFramePoolFreshBlocks();
 
 }  // namespace smst

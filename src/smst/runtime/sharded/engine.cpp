@@ -46,27 +46,7 @@ ShardedEngine::ShardedEngine(const WeightedGraph& graph,
   next_round_.assign(k, kMaxRound);
 }
 
-ShardedEngine::~ShardedEngine() {
-  // Tear shards down on their own threads (one per shard, K > 1 only).
-  // Destroying a shard's CoroutineProgram releases ~n/K coroutine frames
-  // and context chunks into the destroying thread's pool arena; doing
-  // that on per-shard reaper threads both parallelizes teardown and —
-  // because
-  // each reaper donates its free lists to the pool registry on exit,
-  // one donation entry per shard — leaves the blocks where the *next*
-  // run's K workers each adopt an even share. Freeing on the main
-  // thread would instead strand every block in the main arena, and
-  // repeated sharded runs in one process would re-fault fresh slab
-  // pages every time.
-  if (shards_.size() > 1) {
-    std::vector<std::thread> reapers;
-    reapers.reserve(shards_.size());
-    for (auto& shard : shards_) {
-      if (shard) reapers.emplace_back([&shard] { shard.reset(); });
-    }
-    for (std::thread& t : reapers) t.join();
-  }
-}
+ShardedEngine::~ShardedEngine() = default;
 
 void ShardedEngine::Execute(const NodeProgram* coro, FlatProgram* flat) {
   const std::uint32_t k = partition_.NumShards();

@@ -29,6 +29,13 @@
 // read only by its destination between that barrier and the next select
 // barrier, so the barriers are its only synchronization.
 //
+// Teardown: the engine's destructor, on the thread that ran Execute,
+// destroys the shards after the workers are joined. A shard's
+// CoroutineProgram owns the frame pool its frames were carved from
+// (runtime/frame_pool.h), and every frame names its pool, so the frames
+// go back to it and its slabs are freed with it; no worker thread is
+// needed to release them.
+//
 // Determinism: round staging order is canonical, fault verdicts are pure
 // hashes of event coordinates, per-shard metrics/fault counters merge by
 // commutative sums (maxima for round/bit peaks) in fixed shard order,
@@ -100,7 +107,7 @@ class ShardedEngine {
     Metrics metrics;                   // full-size; merged by summation
     std::unique_ptr<Auditor> auditor;  // before core: it borrows it
     FlatEngine core;
-    // Coroutine runs only: this shard's nodes' frames.
+    // Coroutine runs only: this shard's nodes' frames and their pool.
     std::unique_ptr<CoroutineProgram> coroutines;
     // outbox[t]: this round's surviving sends to shard t's nodes, in
     // ascending (src, batch_pos, copy) order. Reused every round.

@@ -13,6 +13,7 @@
 #include <cstddef>
 #include <exception>
 #include <optional>
+#include <type_traits>
 #include <utility>
 
 #include "smst/runtime/frame_pool.h"
@@ -26,17 +27,14 @@ namespace detail {
 
 // Behaviour shared by Task<T> and Task<void> promises.
 struct PromiseBase {
-#ifndef SMST_NO_FRAME_POOL
-  // Coroutine frames are recycled through the thread-local frame pool:
-  // a run's millions of sub-procedure awaits reuse a handful of blocks
-  // instead of hitting the heap each time. Sized delete lets the pool
-  // recompute the size bucket without a per-block header. Disable with
-  // the SMST_NO_FRAME_POOL CMake option (see frame_pool.h).
+  // Coroutine frames come from the running program's frame pool
+  // (frame_pool.h): a run's millions of sub-procedure awaits reuse a
+  // handful of blocks instead of hitting the heap each time. Sized
+  // delete lets the pool recompute the size bucket.
   static void* operator new(std::size_t bytes) { return FrameAllocate(bytes); }
   static void operator delete(void* p, std::size_t bytes) noexcept {
     FrameDeallocate(p, bytes);
   }
-#endif
 
   std::coroutine_handle<> continuation;  // resumed when this task finishes
   std::exception_ptr exception;
@@ -60,18 +58,25 @@ struct PromiseBase {
   void unhandled_exception() { exception = std::current_exception(); }
 };
 
+template <typename T>
+struct Promise : PromiseBase {
+  std::optional<T> value;
+  Task<T> get_return_object();
+  void return_value(T v) { value.emplace(std::move(v)); }
+};
+
+template <>
+struct Promise<void> : PromiseBase {
+  Task<void> get_return_object();
+  void return_void() {}
+};
+
 }  // namespace detail
 
 template <typename T>
 class [[nodiscard]] Task {
  public:
-  struct promise_type : detail::PromiseBase {
-    std::optional<T> value;
-    Task get_return_object() {
-      return Task{std::coroutine_handle<promise_type>::from_promise(*this)};
-    }
-    void return_value(T v) { value.emplace(std::move(v)); }
-  };
+  using promise_type = detail::Promise<T>;
   using Handle = std::coroutine_handle<promise_type>;
 
   Task() = default;
@@ -97,12 +102,15 @@ class [[nodiscard]] Task {
   T await_resume() {
     auto& p = handle_.promise();
     if (p.exception) std::rethrow_exception(p.exception);
-    assert(p.value.has_value());
-    return std::move(*p.value);
+    if constexpr (!std::is_void_v<T>) {
+      assert(p.value.has_value());
+      return std::move(*p.value);
+    }
   }
 
  private:
   friend class TaskRunner;
+  friend promise_type;
   explicit Task(Handle h) : handle_(h) {}
   void Destroy() {
     if (handle_) handle_.destroy();
@@ -111,50 +119,18 @@ class [[nodiscard]] Task {
   Handle handle_;
 };
 
-template <>
-class [[nodiscard]] Task<void> {
- public:
-  struct promise_type : detail::PromiseBase {
-    Task get_return_object() {
-      return Task{std::coroutine_handle<promise_type>::from_promise(*this)};
-    }
-    void return_void() {}
-  };
-  using Handle = std::coroutine_handle<promise_type>;
+namespace detail {
 
-  Task() = default;
-  Task(Task&& other) noexcept : handle_(std::exchange(other.handle_, {})) {}
-  Task& operator=(Task&& other) noexcept {
-    if (this != &other) {
-      Destroy();
-      handle_ = std::exchange(other.handle_, {});
-    }
-    return *this;
-  }
-  Task(const Task&) = delete;
-  Task& operator=(const Task&) = delete;
-  ~Task() { Destroy(); }
+template <typename T>
+Task<T> Promise<T>::get_return_object() {
+  return Task<T>{std::coroutine_handle<Promise>::from_promise(*this)};
+}
 
-  bool await_ready() const noexcept { return !handle_ || handle_.done(); }
-  std::coroutine_handle<> await_suspend(std::coroutine_handle<> awaiter) {
-    handle_.promise().continuation = awaiter;
-    return handle_;
-  }
-  void await_resume() {
-    if (handle_.promise().exception) {
-      std::rethrow_exception(handle_.promise().exception);
-    }
-  }
+inline Task<void> Promise<void>::get_return_object() {
+  return Task<void>{std::coroutine_handle<Promise>::from_promise(*this)};
+}
 
- private:
-  friend class TaskRunner;
-  explicit Task(Handle h) : handle_(h) {}
-  void Destroy() {
-    if (handle_) handle_.destroy();
-    handle_ = {};
-  }
-  Handle handle_;
-};
+}  // namespace detail
 
 // Drives top-level (per-node) tasks from non-coroutine code:
 // CoroutineProgram Starts each task (and resumes leaf awaitables itself),

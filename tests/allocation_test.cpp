@@ -8,12 +8,9 @@
 // allocation counts to be equal — i.e. zero allocations per additional
 // awake node-round. Absolute counts would be brittle across standard
 // libraries; marginal counts are exact and portable.
-//
-// With SMST_NO_FRAME_POOL the coroutine frame pool is compiled out and
-// every sub-procedure await allocates; the steady-state assertions are
-// skipped in that configuration (the correctness tests still run).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
@@ -71,12 +68,9 @@ RunStats RunPing(const WeightedGraph& g, int rounds) {
 }
 
 TEST(AllocationRegressionTest, EngineSteadyStateIsAllocationFree) {
-#ifdef SMST_NO_FRAME_POOL
-  GTEST_SKIP() << "frame pool compiled out; steady state allocates";
-#endif
   Xoshiro256 rng(7);
   const auto g = MakeRing(64, rng);
-  RunPing(g, 8);  // warm-up: frame pool, lazy library initialization
+  RunPing(g, 8);  // warm-up: lazy library initialization
 
   const std::uint64_t short_run = CountAllocs([&] { RunPing(g, 32); });
   const std::uint64_t long_run = CountAllocs([&] { RunPing(g, 128); });
@@ -87,19 +81,42 @@ TEST(AllocationRegressionTest, EngineSteadyStateIsAllocationFree) {
       << "steady-state allocations now scale with awake node-rounds";
 }
 
-TEST(AllocationRegressionTest, FramePoolRecyclesFramesAfterWarmup) {
-#ifdef SMST_NO_FRAME_POOL
-  GTEST_SKIP() << "frame pool compiled out";
-#endif
+// Awaits a trivial sub-procedure `iterations` times, one awake apart,
+// then reports how many fresh blocks the run's frame pool has minted so
+// far (the pool is shared by the run's nodes; the last to finish sees
+// the run's total).
+Task<int> Increment(int x) { co_return x + 1; }
+
+Task<void> SubProcedureLoop(NodeContext& ctx, int iterations,
+                            std::uint64_t* fresh_blocks) {
+  int count = 0;
+  for (int r = 1; r <= iterations; ++r) {
+    count = co_await Increment(count);
+    co_await ctx.Awake(static_cast<Round>(r));
+  }
+  if (count != iterations) throw std::logic_error("sub-procedure result");
+  *fresh_blocks = std::max(*fresh_blocks, CurrentFramePoolFreshBlocks());
+}
+
+std::uint64_t FreshBlocksForLoop(const WeightedGraph& g, int iterations) {
+  std::uint64_t fresh_blocks = 0;
+  Simulator sim(g);
+  sim.Run([&fresh_blocks, iterations](NodeContext& ctx) {
+    return SubProcedureLoop(ctx, iterations, &fresh_blocks);
+  });
+  return fresh_blocks;
+}
+
+TEST(AllocationRegressionTest, FramePoolRecyclesFramesWithinRun) {
   Xoshiro256 rng(7);
   const auto g = MakeRing(16, rng);
-  RunPing(g, 4);  // warm-up
-  const FramePoolStats before = GetFramePoolStats();
-  RunPing(g, 4);
-  const FramePoolStats after = GetFramePoolStats();
-  EXPECT_GT(after.pool_hits, before.pool_hits);
-  EXPECT_EQ(after.fresh_blocks, before.fresh_blocks)
-      << "a warmed pool should not mint new blocks for a repeat run";
+  const std::uint64_t short_run = FreshBlocksForLoop(g, 8);
+  const std::uint64_t long_run = FreshBlocksForLoop(g, 128);
+  // Every node frame plus one live sub-procedure frame per node; a pool
+  // that stopped recycling would mint one more block per await.
+  EXPECT_GT(short_run, 0u) << "node programs ran without the run's pool";
+  EXPECT_EQ(long_run, short_run)
+      << "sub-procedure frames are not recycled within a run";
 }
 
 // --- satellite: degree > 64 exercises Register's scratch bitset -------
@@ -136,9 +153,6 @@ std::uint64_t RunStar(const WeightedGraph& g, int rounds) {
 }
 
 TEST(AllocationRegressionTest, HighDegreeRegisterUsesScratchBitset) {
-#ifdef SMST_NO_FRAME_POOL
-  GTEST_SKIP() << "frame pool compiled out; steady state allocates";
-#endif
   const auto g = MakeHighDegreeStar(80);  // center degree 80 > 64
   RunStar(g, 4);  // warm-up
 
@@ -170,9 +184,6 @@ TEST(AllocationRegressionTest, HighDegreeDuplicatePortStillDetected) {
 // --- end-to-end budget on a real algorithm ----------------------------
 
 TEST(AllocationRegressionTest, RandomizedMstStaysWithinAllocationBudget) {
-#ifdef SMST_NO_FRAME_POOL
-  GTEST_SKIP() << "frame pool compiled out; steady state allocates";
-#endif
   Xoshiro256 rng(1);
   const auto g = MakeErdosRenyi(128, 8.0 / 128, rng);
   RunRandomizedMst(g, {.seed = 1});  // warm-up

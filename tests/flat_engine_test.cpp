@@ -238,11 +238,8 @@ TEST(FlatEngineOptionsTest, LogStarColoringRejectsTheFlatEngine) {
   const auto g = MakeRing(6, rng);
   MstOptions opt;
   opt.engine = EngineMode::kFlat;
-  opt.coloring = ColoringVariant::kLogStar;
-  EXPECT_THROW(RunDeterministicMst(g, opt), std::invalid_argument);
-  MstOptions api_opt;
-  api_opt.engine = EngineMode::kFlat;
-  EXPECT_THROW(ComputeMst(g, MstAlgorithm::kDeterministicLogStar, api_opt),
+  EXPECT_FALSE(SupportsFlatEngine(MstAlgorithm::kDeterministicLogStar, opt));
+  EXPECT_THROW(ComputeMst(g, MstAlgorithm::kDeterministicLogStar, opt),
                std::invalid_argument);
 }
 

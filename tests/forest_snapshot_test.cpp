@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "smst/graph/generators.h"
+#include "smst/mst/api.h"
 #include "smst/mst/deterministic_mst.h"
 #include "smst/mst/randomized_mst.h"
 #include "smst/sleeping/ldt.h"
@@ -75,9 +76,9 @@ TEST(ForestSnapshotTest, DeterministicLogStarHoldsEveryPhase) {
   auto g = MakeGrid(6, 8, rng);
   MstOptions opt;
   opt.seed = 4;
-  opt.coloring = ColoringVariant::kLogStar;
   opt.record_forest_snapshots = true;
-  CheckPhaseSnapshots(g, RunDeterministicMst(g, opt));
+  CheckPhaseSnapshots(g,
+                      ComputeMst(g, MstAlgorithm::kDeterministicLogStar, opt));
 }
 
 TEST(ForestSnapshotTest, DisabledByDefault) {

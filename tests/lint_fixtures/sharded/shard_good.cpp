@@ -3,48 +3,25 @@
 
 namespace fixture {
 
-struct Ring;
 struct WireEntry {
   unsigned node = 0;
   const void* payload = nullptr;
 };
-struct Barrier {
-  void arrive_and_wait();
-  void arrive_and_drop();
-};
-struct Exchange {
-  void Push(unsigned shard, unsigned lane, const WireEntry& e);
-  void DrainInto(unsigned shard, unsigned lane, Ring& out);
+struct Outbox {
+  void push_back(const WireEntry& e);
 };
 struct Metrics {
   unsigned long sends = 0;
 };
 
-// The correct round shape: push all outbound entries, hit the barrier,
-// then drain what the peers pushed.
-void RoundStep(Barrier& barrier, Exchange& ex, Ring& ring,
-               const WireEntry& e) {
-  ex.Push(0, 1, e);
-  barrier.arrive_and_wait();
-  ex.DrainInto(1, 0, ring);
-  barrier.arrive_and_wait();
-}
-
 // Wire entries carry values; a worker may still take addresses of its
 // own state for private use outside the wire surface.
-unsigned LocalAddressesPrivately(Exchange& ex, const WireEntry& in) {
+unsigned LocalAddressesPrivately(Outbox& out, const WireEntry& in) {
   Metrics metrics;
   Metrics* mine = &metrics;  // private use: never crosses the wire
   WireEntry e{in.node, nullptr};
-  ex.Push(0, 1, e);
+  out.push_back(e);
   return mine->sends != 0 ? 1u : 0u;
-}
-
-// A retiring worker drops its barrier slot after its last push; the
-// push is on the correct side.
-void RetireWorker(Barrier& barrier, Exchange& ex, const WireEntry& e) {
-  ex.Push(0, 1, e);
-  barrier.arrive_and_drop();
 }
 
 }  // namespace fixture

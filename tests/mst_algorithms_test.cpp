@@ -234,10 +234,8 @@ TEST_P(LogStarMstTest, ComputesTheExactMst) {
   const std::size_t n = 36;
   Xoshiro256 rng(static_cast<std::uint64_t>(seed) * 131 + family);
   auto g = MakeFamily(family, n, rng);
-  MstOptions opt;
-  opt.seed = static_cast<std::uint64_t>(seed);
-  opt.coloring = ColoringVariant::kLogStar;
-  auto r = RunDeterministicMst(g, opt);
+  auto r = ComputeMst(g, MstAlgorithm::kDeterministicLogStar,
+                      {.seed = static_cast<std::uint64_t>(seed)});
   ExpectExactMst(g, r);
 }
 
@@ -254,10 +252,7 @@ TEST(LogStarMstTest, RunTimeIndependentOfN) {
     GeneratorOptions gopt;
     gopt.max_id = N;
     auto g = MakeErdosRenyi(32, 0.15, rng, gopt);
-    MstOptions opt;
-    opt.seed = 31;
-    opt.coloring = ColoringVariant::kLogStar;
-    auto r = RunDeterministicMst(g, opt);
+    auto r = ComputeMst(g, MstAlgorithm::kDeterministicLogStar, {.seed = 31});
     ExpectExactMst(g, r);
     rounds.push_back(r.stats.rounds);
   }

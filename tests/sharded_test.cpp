@@ -178,6 +178,23 @@ TEST(ShardedIdentityTest, OverProvisionedShardCountClamps) {
                               ShardPolicy::kRoundRobin, nullptr));
 }
 
+TEST(ShardedIdentityTest, RepeatRunAfterCallingThreadTeardownMatches) {
+  // A sharded coroutine run carves each shard's frames on its worker and
+  // releases them on this thread when the run returns (every frame goes
+  // back to its own shard's pool). Nothing of that may leak into a
+  // second identical run in the same process.
+  Xoshiro256 rng(64);
+  const auto g = MakeErdosRenyi(40, 0.15, rng);
+  for (MstAlgorithm algo :
+       {MstAlgorithm::kRandomized, MstAlgorithm::kDeterministic}) {
+    SCOPED_TRACE(MstAlgorithmName(algo));
+    const MstRunResult first =
+        RunWith(g, algo, 7, 3, ShardPolicy::kContiguousBlocks, nullptr);
+    ExpectIdenticalRuns(
+        first, RunWith(g, algo, 7, 3, ShardPolicy::kContiguousBlocks, nullptr));
+  }
+}
+
 // (port, sender ID, send round) of every message a node received, in
 // arrival order.
 using ReceiveLog =

@@ -586,38 +586,6 @@ class Analysis {
     for (std::size_t f = 0; f < parsed_.fns.size(); ++f) {
       const Fn& fn = parsed_.fns[f];
 
-      // Barrier ordering: within a function that synchronizes on the
-      // round barrier, inbound drains must happen after the send barrier
-      // and outbound pushes before it — otherwise one shard reads rings
-      // another shard is still writing.
-      std::vector<std::size_t> barriers;
-      for (std::size_t k = fn.body_begin + 1; k < fn.body_end; ++k) {
-        if (t_[k].kind == Token::Kind::kIdent &&
-            IsAnyOf(t_[k], {"arrive_and_wait", "arrive_and_drop"})) {
-          barriers.push_back(k);
-        }
-      }
-      if (!barriers.empty()) {
-        for (std::size_t k = fn.body_begin + 1; k < fn.body_end; ++k) {
-          if (t_[k].kind != Token::Kind::kIdent || k + 1 >= fn.body_end ||
-              !t_[k + 1].Is("(")) {
-            continue;
-          }
-          if (t_[k].Is("DrainInto") && k < barriers.front()) {
-            Flag(t_[k].line, "shard-barrier-order",
-                 "DrainInto before the first round barrier: peers may "
-                 "still be pushing into this ring — drain only after "
-                 "arrive_and_wait");
-          }
-          if (t_[k].Is("Push") && k > barriers.back()) {
-            Flag(t_[k].line, "shard-barrier-order",
-                 "Push after the last round barrier: the receiving shard "
-                 "may already be draining this ring — push before "
-                 "arrive_and_wait");
-          }
-        }
-      }
-
       // Shard-local state escaping into wire entries.
       const SymbolTable& syms = symtabs_[f];
       for (std::size_t k = fn.body_begin + 1; k + 1 < fn.body_end; ++k) {
@@ -631,9 +599,6 @@ class Analysis {
                    t_[k + 2].Is("{")) {
           span_begin = k + 2;  // WireEntry e{...} declaration
           span_end = Close(span_begin, "{", "}");
-        } else if (t_[k].Is("Push") && t_[k + 1].Is("(")) {
-          span_begin = k + 1;
-          span_end = Close(span_begin, "(", ")");
         } else {
           continue;
         }
@@ -744,8 +709,6 @@ const std::vector<RuleDesc>& AllRules() {
        "flat state-machine local read across a resume point"},
       {"flat-twin-drift",
        "flat class and coroutine twin disagree on tags or error strings"},
-      {"shard-barrier-order",
-       "exchange Push/DrainInto on the wrong side of the round barrier"},
       {"shard-local-escape",
        "address of shard-local state escaping into a wire entry"},
   };

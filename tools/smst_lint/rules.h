@@ -18,8 +18,7 @@
 //              fallthrough between resume labels, no tag/error-string
 //              drift between a flat class and its coroutine twin.
 //   shard-*    sharded-runtime discipline: no shard-local state escaping
-//              into wire entries, no exchange pushes/drains on the wrong
-//              side of the round barrier.
+//              into wire entries.
 //
 // Every rule is a heuristic over the parsed token tree (parser.h) with a
 // per-function symbol table (symtab.h) and, for the det dataflow rules, a

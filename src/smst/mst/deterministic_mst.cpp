@@ -7,7 +7,7 @@
 #include <string>
 
 #include "smst/mst/detail.h"
-#include "smst/mst/flat_driver.h"
+#include "smst/runtime/flat/flat_driver.h"
 #include "smst/runtime/simulator.h"
 #include "smst/sleeping/coloring.h"
 #include "smst/sleeping/flat_procedures.h"
@@ -371,8 +371,7 @@ class FlatDetProgram final : public FlatProgram {
   }
 
   Round Start(NodeIndex v, FlatEnv& env, SendBatch& sends) override {
-    const InboxBatch empty;
-    return Advance(v, env, empty, sends);
+    return Advance(v, env, kFlatNoInbox, sends);
   }
 
   Round Step(NodeIndex v, Round /*now*/, FlatEnv& env, const InboxBatch& inbox,
@@ -402,7 +401,7 @@ Round FlatDetProgram::Advance(NodeIndex v, FlatEnv& env,
 
   switch (st.pc) {
     default:
-      throw std::logic_error("flat program: corrupt pc");
+      throw FlatCorruptPc();
     case 0:
       for (st.phase = 1; st.phase <= sh_->phase_cap; ++st.phase) {
         if (st.finished) {
@@ -597,7 +596,6 @@ Round FlatDetProgram::Advance(NodeIndex v, FlatEnv& env,
       sh_->phases_done[v] = st.last_active_phase;
       return kFlatDone;
   }
-  throw std::logic_error("flat program: unreachable");
 }
 
 }  // namespace

@@ -2,11 +2,10 @@
 
 #include <cmath>
 #include <memory>
-#include <stdexcept>
 #include <string>
 
 #include "smst/mst/detail.h"
-#include "smst/mst/flat_driver.h"
+#include "smst/runtime/flat/flat_driver.h"
 #include "smst/runtime/simulator.h"
 #include "smst/sleeping/flat_procedures.h"
 #include "smst/sleeping/merging.h"
@@ -78,8 +77,7 @@ class FlatGhsProgram final : public FlatProgram {
   }
 
   Round Start(NodeIndex v, FlatEnv& env, SendBatch& sends) override {
-    const InboxBatch empty;
-    return Advance(v, env, empty, sends);
+    return Advance(v, env, kFlatNoInbox, sends);
   }
 
   Round Step(NodeIndex v, Round /*now*/, FlatEnv& env, const InboxBatch& inbox,
@@ -106,7 +104,7 @@ Round FlatGhsProgram::Advance(NodeIndex v, FlatEnv& env,
 
   switch (st.pc) {
     default:
-      throw std::logic_error("flat program: corrupt pc");
+      throw FlatCorruptPc();
     case 0:
       for (st.phase = 1; st.phase <= sh_->phase_cap; ++st.phase) {
         st.span = sh_->adaptive_blocks
@@ -201,7 +199,6 @@ Round FlatGhsProgram::Advance(NodeIndex v, FlatEnv& env,
       sh_->phases_done[v] = st.last_active_phase;
       return kFlatDone;
   }
-  throw std::logic_error("flat program: unreachable");
 }
 
 MstRunResult RunEngine(const WeightedGraph& g, const MstOptions& options,

@@ -1,10 +1,10 @@
 #include "smst/sleeping/flat_procedures.h"
 
 #include <algorithm>
-#include <stdexcept>
 #include <string>
 
 #include "smst/faults/run_outcome.h"
+#include "smst/runtime/flat/flat_driver.h"
 
 namespace smst {
 
@@ -21,9 +21,9 @@ constexpr auto FromPort = MessageFromPort;
 
 }  // namespace
 
-// Each flat class below is a hand-lowered state machine for a coroutine
-// procedure; the twin directives let smst_lint cross-check that the two
-// sides still use the same message tags and error strings.
+// Each flat class below is a transcription of a coroutine procedure; the
+// twin directives let smst_lint cross-check that the two sides still use
+// the same message tags and error strings.
 // smst-lint-twin(FlatBroadcast=FragmentBroadcast)
 // smst-lint-twin(FlatUpcastMin=UpcastMin)
 // smst-lint-twin(FlatUpcastSum=UpcastSum)
@@ -39,37 +39,34 @@ Round FlatBroadcast::Begin(const FlatNodeRef& node, const LdtState& l,
   sched = TransmissionSchedule(block_start, l.level,
                                span == 0 ? node.NumNodesKnown() : span);
   msg = root_msg;
-  if (!l.IsRoot()) {
-    pc = 1;
-    return sched.down_receive;
-  }
-  return SendDown(sends);
+  pc = 0;
+  return Resume(node, kFlatNoInbox, sends);
 }
 
 Round FlatBroadcast::Resume(const FlatNodeRef& node, const InboxBatch& inbox,
                             SendBatch& sends) {
-  if (pc == 1) {
-    const auto from_parent = FromPort(inbox, ldt->parent_port);
-    if (!from_parent.has_value()) {
-      // Drop-free by construction in the sleeping model, so a missing
-      // parent message is a fault effect: classified, not a crash.
-      throw ProtocolStallError(
-          "FragmentBroadcast: node " + std::to_string(node.Id()) +
-          " heard nothing from its parent in its Down-Receive round");
-    }
-    msg = *from_parent;
-    return SendDown(sends);
+  switch (pc) {
+    default:
+      throw FlatCorruptPc();
+    case 0:
+      if (!ldt->IsRoot()) {
+        SMST_FLAT_AWAKE(*this, sched.down_receive);
+        const auto from_parent = FromPort(inbox, ldt->parent_port);
+        if (!from_parent.has_value()) {
+          // Drop-free by construction in the sleeping model, so a missing
+          // parent message is a fault effect: classified, not a crash.
+          throw ProtocolStallError(
+              "FragmentBroadcast: node " + std::to_string(node.Id()) +
+              " heard nothing from its parent in its Down-Receive round");
+        }
+        msg = *from_parent;
+      }
+      if (!ldt->child_ports.empty()) {
+        for (std::uint32_t p : ldt->child_ports) sends.push_back({p, msg});
+        SMST_FLAT_AWAKE(*this, sched.down_send);
+      }
+      return kFlatDone;
   }
-  return kFlatDone;  // pc == 2: the Down-Send awake completed
-}
-
-Round FlatBroadcast::SendDown(SendBatch& sends) {
-  if (!ldt->child_ports.empty()) {
-    for (std::uint32_t p : ldt->child_ports) sends.push_back({p, msg});
-    pc = 2;
-    return sched.down_send;
-  }
-  return kFlatDone;
 }
 
 // --- Upcast-Min --------------------------------------------------------
@@ -81,35 +78,32 @@ Round FlatUpcastMin::Begin(const FlatNodeRef& node, const LdtState& l,
   sched = TransmissionSchedule(block_start, l.level,
                                span == 0 ? node.NumNodesKnown() : span);
   best = own;
-  if (!l.child_ports.empty()) {
-    pc = 1;
-    return sched.up_receive;
-  }
-  return SendUp(sends);
+  pc = 0;
+  return Resume(node, kFlatNoInbox, sends);
 }
 
 Round FlatUpcastMin::Resume(const FlatNodeRef& /*node*/,
                             const InboxBatch& inbox, SendBatch& sends) {
-  if (pc == 1) {
-    for (std::uint32_t p : ldt->child_ports) {
-      if (auto m = FromPort(inbox, p); m.has_value()) {
-        UpcastItem item{m->a, m->b, m->c};
-        if (item < best) best = item;
+  switch (pc) {
+    default:
+      throw FlatCorruptPc();
+    case 0:
+      if (!ldt->child_ports.empty()) {
+        SMST_FLAT_AWAKE(*this, sched.up_receive);
+        for (std::uint32_t p : ldt->child_ports) {
+          if (auto m = FromPort(inbox, p); m.has_value()) {
+            UpcastItem item{m->a, m->b, m->c};
+            if (item < best) best = item;
+          }
+        }
       }
-    }
-    return SendUp(sends);
+      if (!ldt->IsRoot() && !best.Absent()) {
+        sends.push_back({ldt->parent_port,
+                         Message{kTagUpcastMin, best.key, best.b, best.c}});
+        SMST_FLAT_AWAKE(*this, sched.up_send);
+      }
+      return kFlatDone;
   }
-  return kFlatDone;  // pc == 2: the Up-Send awake completed
-}
-
-Round FlatUpcastMin::SendUp(SendBatch& sends) {
-  if (!ldt->IsRoot() && !best.Absent()) {
-    sends.push_back({ldt->parent_port,
-                     Message{kTagUpcastMin, best.key, best.b, best.c}});
-    pc = 2;
-    return sched.up_send;
-  }
-  return kFlatDone;
 }
 
 // --- Upcast-Sum --------------------------------------------------------
@@ -122,35 +116,32 @@ Round FlatUpcastSum::Begin(const FlatNodeRef& node, const LdtState& l,
                                span == 0 ? node.NumNodesKnown() : span);
   result = UpcastSumResult{};
   result.subtree_total = own;
-  if (!l.child_ports.empty()) {
-    pc = 1;
-    return sched.up_receive;
-  }
-  return SendUp(sends);
+  pc = 0;
+  return Resume(node, kFlatNoInbox, sends);
 }
 
 Round FlatUpcastSum::Resume(const FlatNodeRef& /*node*/,
                             const InboxBatch& inbox, SendBatch& sends) {
-  if (pc == 1) {
-    for (std::uint32_t p : ldt->child_ports) {
-      std::uint64_t child_total = 0;
-      if (auto m = FromPort(inbox, p); m.has_value()) child_total = m->a;
-      result.child_totals.emplace_back(p, child_total);
-      result.subtree_total += child_total;
-    }
-    return SendUp(sends);
+  switch (pc) {
+    default:
+      throw FlatCorruptPc();
+    case 0:
+      if (!ldt->child_ports.empty()) {
+        SMST_FLAT_AWAKE(*this, sched.up_receive);
+        for (std::uint32_t p : ldt->child_ports) {
+          std::uint64_t child_total = 0;
+          if (auto m = FromPort(inbox, p); m.has_value()) child_total = m->a;
+          result.child_totals.emplace_back(p, child_total);
+          result.subtree_total += child_total;
+        }
+      }
+      if (!ldt->IsRoot() && result.subtree_total > 0) {
+        sends.push_back({ldt->parent_port,
+                         Message{kTagUpcastSum, result.subtree_total, 0, 0}});
+        SMST_FLAT_AWAKE(*this, sched.up_send);
+      }
+      return kFlatDone;
   }
-  return kFlatDone;  // pc == 2: the Up-Send awake completed
-}
-
-Round FlatUpcastSum::SendUp(SendBatch& sends) {
-  if (!ldt->IsRoot() && result.subtree_total > 0) {
-    sends.push_back({ldt->parent_port,
-                     Message{kTagUpcastSum, result.subtree_total, 0, 0}});
-    pc = 2;
-    return sched.up_send;
-  }
-  return kFlatDone;
 }
 
 // --- Merging-Fragments --------------------------------------------------
@@ -162,37 +153,36 @@ Round FlatMerge::Begin(const FlatNodeRef& node, LdtState& l,
   mark = &m;
   role = r;
   span = cursor.Span();
-  const Round block_a = cursor.TakeBlock();
-  const Round block_b = cursor.TakeBlock();
-  const Round block_c = cursor.TakeBlock();
-  // The node's level is unchanged until Finalize, so all three sub-block
-  // schedules can be fixed here (the coroutine computes each lazily but
-  // from the same unchanged level).
-  sched_a = TransmissionSchedule(block_a, l.level, span);
-  sched_b = TransmissionSchedule(block_b, l.level, span);
-  sched_c = TransmissionSchedule(block_c, l.level, span);
-
-  have_new = false;
-  new_frag = 0;
-  new_level = 0;
-  new_parent_port = l.parent_port;
-  new_children = l.child_ports;
-
-  // Sub-block A: Side exchange of (fragment ID, level, ATTACH).
-  for (std::uint32_t p = 0; p < node.Degree(); ++p) {
-    const std::uint64_t attach =
-        (role.is_tails && p == role.attach_port) ? 1 : 0;
-    sends.push_back(
-        {p, Message{kTagMergeSide, l.fragment_id, l.level, attach}});
-  }
-  pc = 1;
-  return sched_a.side;
+  block_a = cursor.TakeBlock();
+  block_b = cursor.TakeBlock();
+  block_c = cursor.TakeBlock();
+  pc = 0;
+  return Resume(node, kFlatNoInbox, sends);
 }
 
 Round FlatMerge::Resume(const FlatNodeRef& node, const InboxBatch& inbox,
                         SendBatch& sends) {
   switch (pc) {
-    case 1: {  // sub-block A inbox
+    default:
+      throw FlatCorruptPc();
+    case 0:
+      // Pending NEW-* values (the paper's NEW-FRAGMENT-ID / NEW-LEVEL-NUM)
+      // and re-orientation, applied only after sub-block C.
+      have_new = false;
+      new_frag = 0;
+      new_level = 0;
+      new_parent_port = ldt->parent_port;
+      new_children = ldt->child_ports;
+
+      // --- sub-block A: Side exchange of (fragment ID, level, ATTACH) ----
+      sched = TransmissionSchedule(block_a, ldt->level, span);
+      for (std::uint32_t p = 0; p < node.Degree(); ++p) {
+        const std::uint64_t attach =
+            (role.is_tails && p == role.attach_port) ? 1 : 0;
+        sends.push_back(
+            {p, Message{kTagMergeSide, ldt->fragment_id, ldt->level, attach}});
+      }
+      SMST_FLAT_AWAKE(*this, sched.side);
       for (const InMessage& m : inbox) {
         if (m.msg.type != kTagMergeSide) continue;
         if (m.msg.c == 1) {
@@ -220,108 +210,85 @@ Round FlatMerge::Resume(const FlatNodeRef& node, const InboxBatch& inbox,
         }
         (*mark)[role.attach_port] = true;
       }
-      if (!role.is_tails) return Finalize();  // heads: B and C are sleep
-      return EnterB(node, sends);
-    }
-    case 2: {  // sub-block B Up-Receive inbox (tails only)
-      std::uint32_t sender = kNoPort;
-      for (std::uint32_t p : ldt->child_ports) {
-        if (auto m = FromPort(inbox, p); m.has_value()) {
-          if (sender != kNoPort) {
-            MergeProtocolError(node, "two children on the re-root path");
+
+      if (role.is_tails) {
+        // --- sub-block B: first schedule instance (up the old tree) ------
+        // The NEW values travel from u_T to the old root; each path node
+        // re-orients toward the child it heard from.
+        sched = TransmissionSchedule(block_b, ldt->level, span);
+        if (!ldt->child_ports.empty()) {
+          SMST_FLAT_AWAKE(*this, sched.up_receive);
+          std::uint32_t sender = kNoPort;
+          for (std::uint32_t p : ldt->child_ports) {
+            if (auto m = FromPort(inbox, p); m.has_value()) {
+              if (sender != kNoPort) {
+                MergeProtocolError(node, "two children on the re-root path");
+              }
+              sender = p;
+              new_level = m->a + 1;
+              new_frag = m->b;
+              have_new = true;
+            }
           }
-          sender = p;
+          if (sender != kNoPort) {
+            // New parent = that child; old parent (if any) becomes a child.
+            new_parent_port = sender;
+            new_children = ldt->child_ports;
+            new_children.erase(
+                std::remove(new_children.begin(), new_children.end(), sender),
+                new_children.end());
+            if (ldt->parent_port != kNoPort) {
+              new_children.push_back(ldt->parent_port);
+            }
+          }
+        }
+        if (have_new && !ldt->IsRoot()) {
+          sends.push_back({ldt->parent_port,
+                           Message{kTagMergeUp, new_level, new_frag, 0}});
+          SMST_FLAT_AWAKE(*this, sched.up_send);
+        }
+
+        // --- sub-block C: second instance (down the old tree) ------------
+        // Still-empty nodes adopt (old parent's NEW level + 1); orientation
+        // unchanged for them.
+        sched = TransmissionSchedule(block_c, ldt->level, span);
+        if (!have_new) {
+          if (ldt->IsRoot()) {
+            // The old root is always on the u_T -> root path.
+            MergeProtocolError(node,
+                               "tails root has no NEW values after the up pass");
+          }
+          SMST_FLAT_AWAKE(*this, sched.down_receive);
+          const auto m = FromPort(inbox, ldt->parent_port);
+          if (!m.has_value()) {
+            MergeProtocolError(node, "no NEW values arrived in the down pass");
+          }
           new_level = m->a + 1;
           new_frag = m->b;
           have_new = true;
         }
-      }
-      if (sender != kNoPort) {
-        // New parent = that child; old parent (if any) becomes a child.
-        new_parent_port = sender;
-        new_children = ldt->child_ports;
-        new_children.erase(
-            std::remove(new_children.begin(), new_children.end(), sender),
-            new_children.end());
-        if (ldt->parent_port != kNoPort) {
-          new_children.push_back(ldt->parent_port);
+        // Send down to every old child except the one the NEW values came
+        // from (a path node's sender child already has them and sleeps
+        // through Down-Receive; skipping it keeps the protocol drop-free).
+        if (std::any_of(ldt->child_ports.begin(), ldt->child_ports.end(),
+                        [this](std::uint32_t p) {
+                          return p != new_parent_port;
+                        })) {
+          for (std::uint32_t p : ldt->child_ports) {
+            if (p == new_parent_port) continue;
+            sends.push_back({p, Message{kTagMergeDown, new_level, new_frag, 0}});
+          }
+          SMST_FLAT_AWAKE(*this, sched.down_send);
         }
+
+        ldt->fragment_id = new_frag;
+        ldt->level = new_level;
+        ldt->parent_port = new_parent_port;
       }
-      return MaybeUpSend(node, sends);
-    }
-    case 3:  // sub-block B Up-Send completed
-      return EnterC(node, sends);
-    case 4: {  // sub-block C Down-Receive inbox
-      const auto m = FromPort(inbox, ldt->parent_port);
-      if (!m.has_value()) {
-        MergeProtocolError(node, "no NEW values arrived in the down pass");
-      }
-      new_level = m->a + 1;
-      new_frag = m->b;
-      have_new = true;
-      return SendDownC(sends);
-    }
-    default:  // pc == 5: sub-block C Down-Send completed
-      return Finalize();
+      // Heads fragments keep ID / level / parent, and gain attach children.
+      ldt->child_ports = std::move(new_children);
+      return kFlatDone;
   }
-}
-
-Round FlatMerge::EnterB(const FlatNodeRef& node, SendBatch& sends) {
-  if (!ldt->child_ports.empty()) {
-    pc = 2;
-    return sched_b.up_receive;
-  }
-  return MaybeUpSend(node, sends);
-}
-
-Round FlatMerge::MaybeUpSend(const FlatNodeRef& node, SendBatch& sends) {
-  if (have_new && !ldt->IsRoot()) {
-    sends.push_back({ldt->parent_port,
-                     Message{kTagMergeUp, new_level, new_frag, 0}});
-    pc = 3;
-    return sched_b.up_send;
-  }
-  // Skip straight to sub-block C without pushing anything.
-  return EnterC(node, sends);
-}
-
-Round FlatMerge::EnterC(const FlatNodeRef& node, SendBatch& sends) {
-  if (!have_new) {
-    if (ldt->IsRoot()) {
-      // The old root is always on the u_T -> root path.
-      MergeProtocolError(node, "tails root has no NEW values after the up pass");
-    }
-    pc = 4;
-    return sched_c.down_receive;
-  }
-  return SendDownC(sends);
-}
-
-Round FlatMerge::SendDownC(SendBatch& sends) {
-  // Send down to every old child except the one the NEW values came from
-  // (a path node's sender child already has them and sleeps through
-  // Down-Receive; skipping it keeps the protocol drop-free).
-  const std::size_t before = sends.size();
-  for (std::uint32_t p : ldt->child_ports) {
-    if (p == new_parent_port) continue;
-    sends.push_back({p, Message{kTagMergeDown, new_level, new_frag, 0}});
-  }
-  if (sends.size() > before) {
-    pc = 5;
-    return sched_c.down_send;
-  }
-  return Finalize();
-}
-
-Round FlatMerge::Finalize() {
-  if (role.is_tails) {
-    ldt->fragment_id = new_frag;
-    ldt->level = new_level;
-    ldt->parent_port = new_parent_port;
-  }
-  // Heads fragments keep ID / level / parent, and gain attach children.
-  ldt->child_ports = std::move(new_children);
-  return kFlatDone;
 }
 
 // --- Fast-Awake-Coloring -------------------------------------------------
@@ -334,153 +301,75 @@ Round FlatColoring::Begin(const FlatNodeRef& node, const LdtState& l,
   ldt = &l;
   nbr = &nbr_in;
   h_ports = &h_ports_in;
-  n = node.NumNodesKnown();
-  const NodeId max_id = node.MaxIdKnown();
-  block_len = ScheduleBlockLength(n);
+  block_len = ScheduleBlockLength(node.NumNodesKnown());
   base = cursor.NextRound();
   // Claim all N stages' blocks up front; the stages this node sleeps
   // through cost nothing but this local arithmetic.
-  cursor.SkipBlocks(kColoringBlocksPerStage * max_id);
-
-  // The (at most 5) stages this node participates in, in stage order.
-  stages.assign(1, l.fragment_id);
-  for (const NbrEntry& e : nbr_in) stages.push_back(e.frag_id);
-  std::sort(stages.begin(), stages.end());
-  stages.erase(std::unique(stages.begin(), stages.end()), stages.end());
-
-  result = ColoringResult{};
-  stage_i = 0;
-  return NextStage(node, sends);
+  cursor.SkipBlocks(kColoringBlocksPerStage * node.MaxIdKnown());
+  pc = 0;
+  return Resume(node, kFlatNoInbox, sends);
 }
 
 Round FlatColoring::Resume(const FlatNodeRef& node, const InboxBatch& inbox,
                            SendBatch& sends) {
   switch (pc) {
-    case 1: {  // own turn: Upcast-Min (choice)
-      const Round r = umin.Resume(node, inbox, sends);
-      if (r != kFlatDone) return r;
-      return OwnAfterUmin(node, sends);
-    }
-    case 2: {  // own turn: Fragment-Broadcast (choice)
-      const Round r = bcast.Resume(node, inbox, sends);
-      if (r != kFlatDone) return r;
-      return OwnAfterBcast(node, sends);
-    }
-    case 3:  // own turn: announce Transmit-Adjacent completed
-      return EndStage(node, sends);
-    case 4:  // listener: Transmit-Adjacent inbox
-      for (const InMessage& m : inbox) {
-        if (m.msg.type == kTagColorAnnounce && m.msg.b == stage) {
-          heard = UpcastItem{m.msg.a, stage, 0};
+    default:
+      throw FlatCorruptPc();
+    case 0:
+      // The (at most 5) stages this node participates in, in stage order.
+      stages.assign(1, ldt->fragment_id);
+      for (const NbrEntry& e : *nbr) stages.push_back(e.frag_id);
+      std::sort(stages.begin(), stages.end());
+      stages.erase(std::unique(stages.begin(), stages.end()), stages.end());
+
+      result = ColoringResult{};
+      for (stage_i = 0; stage_i < stages.size(); ++stage_i) {
+        stage = stages[stage_i];
+        // Block k of the stage starts at s0 + k * block_len: Upcast-Min
+        // (choice), Fragment-Broadcast (choice), Transmit-Adjacent
+        // (announce), Upcast-Min (received color), Fragment-Broadcast
+        // (received).
+        s0 = base + (stage - 1) * kColoringBlocksPerStage * block_len;
+
+        if (stage == ldt->fragment_id) {
+          // Our turn. All earlier-colored neighbors are in neighbor_colors,
+          // so every node of the fragment computes the same greedy choice.
+          SMST_FLAT_SUB(*this, umin, umin.Begin(node, *ldt, s0, UpcastItem{static_cast<std::uint64_t>(ColoringGreedyChoice(result.neighbor_colors)), 0, 0}, sends));
+          SMST_FLAT_SUB(*this, bcast, bcast.Begin(node, *ldt, s0 + block_len, Message{kTagColorChoice, umin.best.key, 0, 0}, sends));
+          result.my_color = ColoringCheckedColor(bcast.msg.a);
+          // Announce to neighbor fragments over the valid-MOE edges.
+          if (!h_ports->empty()) {
+            for (const HPort& hp : *h_ports) {
+              sends.push_back(
+                  {hp.port,
+                   Message{kTagColorAnnounce,
+                           static_cast<std::uint64_t>(result.my_color),
+                           ldt->fragment_id, 0}});
+            }
+            SMST_FLAT_AWAKE(*this, TransmissionSchedule(s0 + 2 * block_len, ldt->level, node.NumNodesKnown()).side);
+          }
+          // Blocks 3 and 4 belong to the listening side; we sleep.
+        } else {
+          // A neighbor's turn: learn its color fragment-wide.
+          heard = UpcastItem{};  // absent unless we border fragment `stage`
+          if (std::any_of(h_ports->begin(), h_ports->end(),
+                          [this](const HPort& hp) {
+                            return hp.neighbor_frag == stage;
+                          })) {
+            SMST_FLAT_AWAKE(*this, TransmissionSchedule(s0 + 2 * block_len, ldt->level, node.NumNodesKnown()).side);
+            for (const InMessage& m : inbox) {
+              if (m.msg.type == kTagColorAnnounce && m.msg.b == stage) {
+                heard = UpcastItem{m.msg.a, stage, 0};
+              }
+            }
+          }
+          SMST_FLAT_SUB(*this, umin, umin.Begin(node, *ldt, s0 + 3 * block_len, heard, sends));
+          SMST_FLAT_SUB(*this, bcast, bcast.Begin(node, *ldt, s0 + 4 * block_len, Message{kTagColorNbr, umin.best.key, stage, 0}, sends));
+          result.neighbor_colors[stage] = ColoringCheckedColor(bcast.msg.a);
         }
       }
-      return ListenerAfterTransmit(node, sends);
-    case 5: {  // listener: Upcast-Min (received color)
-      const Round r = umin.Resume(node, inbox, sends);
-      if (r != kFlatDone) return r;
-      return ListenerAfterUmin(node, sends);
-    }
-    default: {  // pc == 6: listener: Fragment-Broadcast (received)
-      const Round r = bcast.Resume(node, inbox, sends);
-      if (r != kFlatDone) return r;
-      return ListenerAfterBcast(node, sends);
-    }
+      return kFlatDone;
   }
-}
-
-Round FlatColoring::NextStage(const FlatNodeRef& node, SendBatch& sends) {
-  if (stage_i == stages.size()) return kFlatDone;
-  stage = stages[stage_i];
-  const Round s0 = base + (stage - 1) * kColoringBlocksPerStage * block_len;
-  b1 = s0;                  // Upcast-Min (choice)
-  b2 = s0 + block_len;      // Fragment-Broadcast (choice)
-  b3 = s0 + 2 * block_len;  // Transmit-Adjacent (announce)
-  b4 = s0 + 3 * block_len;  // Upcast-Min (received color)
-  b5 = s0 + 4 * block_len;  // Fragment-Broadcast (received)
-
-  if (stage == ldt->fragment_id) {
-    // Our turn. All earlier-colored neighbors are in neighbor_colors,
-    // so every node of the fragment computes the same greedy choice.
-    const FragColor choice = ColoringGreedyChoice(result.neighbor_colors);
-    const UpcastItem offer{static_cast<std::uint64_t>(choice), 0, 0};
-    const Round r = umin.Begin(node, *ldt, b1, offer, sends);
-    if (r != kFlatDone) {
-      pc = 1;
-      return r;
-    }
-    return OwnAfterUmin(node, sends);
-  }
-  // A neighbor's turn: learn its color fragment-wide.
-  heard = UpcastItem{};  // absent unless we border fragment `stage`
-  bool borders_stage = false;
-  for (const HPort& hp : *h_ports) borders_stage |= hp.neighbor_frag == stage;
-  if (borders_stage) {
-    pc = 4;
-    return TransmissionSchedule(b3, ldt->level, n).side;
-  }
-  return ListenerAfterTransmit(node, sends);
-}
-
-Round FlatColoring::OwnAfterUmin(const FlatNodeRef& node, SendBatch& sends) {
-  const Round r = bcast.Begin(node, *ldt, b2,
-                              Message{kTagColorChoice, umin.best.key, 0, 0},
-                              sends);
-  if (r != kFlatDone) {
-    pc = 2;
-    return r;
-  }
-  return OwnAfterBcast(node, sends);
-}
-
-Round FlatColoring::OwnAfterBcast(const FlatNodeRef& node, SendBatch& sends) {
-  result.my_color = ColoringCheckedColor(bcast.msg.a);
-  // Announce to neighbor fragments over the valid-MOE edges.
-  if (!h_ports->empty()) {
-    for (const HPort& hp : *h_ports) {
-      sends.push_back(
-          {hp.port,
-           Message{kTagColorAnnounce,
-                   static_cast<std::uint64_t>(result.my_color),
-                   ldt->fragment_id, 0}});
-    }
-    pc = 3;
-    return TransmissionSchedule(b3, ldt->level, n).side;
-  }
-  // b4 / b5 belong to the listening side; we sleep.
-  return EndStage(node, sends);
-}
-
-Round FlatColoring::ListenerAfterTransmit(const FlatNodeRef& node,
-                                          SendBatch& sends) {
-  const Round r = umin.Begin(node, *ldt, b4, heard, sends);
-  if (r != kFlatDone) {
-    pc = 5;
-    return r;
-  }
-  return ListenerAfterUmin(node, sends);
-}
-
-Round FlatColoring::ListenerAfterUmin(const FlatNodeRef& node,
-                                      SendBatch& sends) {
-  const Round r = bcast.Begin(node, *ldt, b5,
-                              Message{kTagColorNbr, umin.best.key, stage, 0},
-                              sends);
-  if (r != kFlatDone) {
-    pc = 6;
-    return r;
-  }
-  return ListenerAfterBcast(node, sends);
-}
-
-Round FlatColoring::ListenerAfterBcast(const FlatNodeRef& node,
-                                       SendBatch& sends) {
-  result.neighbor_colors[stage] = ColoringCheckedColor(bcast.msg.a);
-  return EndStage(node, sends);
-}
-
-Round FlatColoring::EndStage(const FlatNodeRef& node, SendBatch& sends) {
-  ++stage_i;
-  return NextStage(node, sends);
 }
 
 }  // namespace smst

@@ -2,10 +2,11 @@
 //
 // Each struct here is the batched state-machine form of one procedure in
 // procedures.h / merging.h / coloring.h: identical message tags, schedule
-// rounds, LDT mutations, and error strings, with the coroutine's
-// suspension points turned into an explicit resume protocol. A driver
-// (the flat MST programs in src/smst/mst/) embeds one instance per node
-// and runs it like this:
+// rounds, LDT mutations, and error strings. Its Resume is a line-by-line
+// transcription of the coroutine body, written with the same
+// SMST_FLAT_AWAKE / SMST_FLAT_SUB resume macros as the flat MST drivers
+// (runtime/flat/flat_driver.h). A driver (the flat MST programs in
+// src/smst/mst/) embeds one instance per node and runs it like this:
 //
 //   Round r = sub.Begin(node, ..., sends);         // may push sends
 //   while (r != kFlatDone) {
@@ -14,6 +15,8 @@
 //   }
 //   <read the procedure's result fields>
 //
+// which is exactly what SMST_FLAT_SUB expands to. Begin records the
+// arguments and runs Resume from the top (pc = 0) with an empty inbox.
 // Begin/Resume return the next awake round with that round's sends
 // already pushed into the driver's out-parameter, or kFlatDone when the
 // procedure has finished — the exact contract of FlatProgram::Step, so a
@@ -46,15 +49,12 @@ struct FlatBroadcast {
   ScheduleRounds sched;
   Message msg;
   const LdtState* ldt = nullptr;
-  std::uint8_t pc = 0;
+  int pc = 0;
 
   Round Begin(const FlatNodeRef& node, const LdtState& l, Round block_start,
               Message root_msg, SendBatch& sends, std::size_t span = 0);
   Round Resume(const FlatNodeRef& node, const InboxBatch& inbox,
                SendBatch& sends);
-
- private:
-  Round SendDown(SendBatch& sends);
 };
 
 // Upcast-Min(n): after completion, `best` holds the subtree minimum (the
@@ -63,15 +63,12 @@ struct FlatUpcastMin {
   ScheduleRounds sched;
   UpcastItem best;
   const LdtState* ldt = nullptr;
-  std::uint8_t pc = 0;
+  int pc = 0;
 
   Round Begin(const FlatNodeRef& node, const LdtState& l, Round block_start,
               UpcastItem own, SendBatch& sends, std::size_t span = 0);
   Round Resume(const FlatNodeRef& node, const InboxBatch& inbox,
                SendBatch& sends);
-
- private:
-  Round SendUp(SendBatch& sends);
 };
 
 // Upcast-Sum(n): after completion, `result` holds the subtree total and
@@ -80,15 +77,12 @@ struct FlatUpcastSum {
   ScheduleRounds sched;
   UpcastSumResult result;
   const LdtState* ldt = nullptr;
-  std::uint8_t pc = 0;
+  int pc = 0;
 
   Round Begin(const FlatNodeRef& node, const LdtState& l, Round block_start,
               std::uint64_t own, SendBatch& sends, std::size_t span = 0);
   Round Resume(const FlatNodeRef& node, const InboxBatch& inbox,
                SendBatch& sends);
-
- private:
-  Round SendUp(SendBatch& sends);
 };
 
 // Merging-Fragments(n): mutates `ldt` and `mst_port_mark` in place with
@@ -96,28 +90,22 @@ struct FlatUpcastSum {
 // fields when the procedure completes).
 struct FlatMerge {
   std::size_t span = 0;
-  ScheduleRounds sched_a, sched_b, sched_c;
+  Round block_a = 0, block_b = 0, block_c = 0;
+  ScheduleRounds sched;
   LdtState* ldt = nullptr;
   std::vector<bool>* mark = nullptr;
   MergeRole role;
-  bool have_new = false;
   NodeId new_frag = 0;
   std::uint64_t new_level = 0;
   std::uint32_t new_parent_port = kNoPort;
+  bool have_new = false;
   ChildPortList new_children;
-  std::uint8_t pc = 0;
+  int pc = 0;
 
   Round Begin(const FlatNodeRef& node, LdtState& l, BlockCursor& cursor,
               MergeRole r, std::vector<bool>& m, SendBatch& sends);
   Round Resume(const FlatNodeRef& node, const InboxBatch& inbox,
                SendBatch& sends);
-
- private:
-  Round EnterB(const FlatNodeRef& node, SendBatch& sends);
-  Round MaybeUpSend(const FlatNodeRef& node, SendBatch& sends);
-  Round EnterC(const FlatNodeRef& node, SendBatch& sends);
-  Round SendDownC(SendBatch& sends);
-  Round Finalize();
 };
 
 // Fast-Awake-Coloring(n, N): after completion, `result` holds my_color
@@ -126,33 +114,23 @@ struct FlatColoring {
   const LdtState* ldt = nullptr;
   const std::vector<NbrEntry>* nbr = nullptr;
   const std::vector<HPort>* h_ports = nullptr;
-  std::size_t n = 0;
   Round base = 0;
   Round block_len = 0;
   std::vector<NodeId> stages;
   std::size_t stage_i = 0;
   NodeId stage = 0;
-  Round b1 = 0, b2 = 0, b3 = 0, b4 = 0, b5 = 0;
+  Round s0 = 0;
   UpcastItem heard;
   ColoringResult result;
   FlatUpcastMin umin;
   FlatBroadcast bcast;
-  std::uint8_t pc = 0;
+  int pc = 0;
 
   Round Begin(const FlatNodeRef& node, const LdtState& l, BlockCursor& cursor,
               const std::vector<NbrEntry>& nbr_in,
               const std::vector<HPort>& h_ports_in, SendBatch& sends);
   Round Resume(const FlatNodeRef& node, const InboxBatch& inbox,
                SendBatch& sends);
-
- private:
-  Round NextStage(const FlatNodeRef& node, SendBatch& sends);
-  Round OwnAfterUmin(const FlatNodeRef& node, SendBatch& sends);
-  Round OwnAfterBcast(const FlatNodeRef& node, SendBatch& sends);
-  Round ListenerAfterTransmit(const FlatNodeRef& node, SendBatch& sends);
-  Round ListenerAfterUmin(const FlatNodeRef& node, SendBatch& sends);
-  Round ListenerAfterBcast(const FlatNodeRef& node, SendBatch& sends);
-  Round EndStage(const FlatNodeRef& node, SendBatch& sends);
 };
 
 }  // namespace smst

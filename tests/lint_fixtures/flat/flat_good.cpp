@@ -27,6 +27,29 @@ int WellFormedResume(Frame& fr) {
   }
 }
 
+// A product on the right of an assignment is not a pointer declaration:
+// `block_len` is a member, so reading it after the resume point is fine.
+struct StageWalk {
+  int pc = 0;
+  int base = 0;
+  int stage = 0;
+  int block_len = 0;
+  int s0 = 0;
+
+  int Resume();
+};
+
+int StageWalk::Resume() {
+  switch (pc) {
+    default:
+      throw pc;
+    case 0:
+      s0 = base + (stage - 1) * kColoringBlocksPerStage * block_len;
+      SMST_FLAT_AWAKE(*this, s0);
+      return s0 + block_len;
+  }
+}
+
 // A plain dispatch switch (no resume macro in the body) is not a flat
 // state machine; entry/default/fallthrough rules do not apply.
 int PlainDispatch(int op) {

@@ -91,7 +91,9 @@ TEST(SmstLint, FixtureCorpusExactFindingSet) {
       "tests/lint_fixtures/flat/flat_bad.cpp:17:[flat-missing-case]",
       "tests/lint_fixtures/flat/flat_bad.cpp:38:[flat-fallthrough]",
       "tests/lint_fixtures/flat/flat_bad.cpp:53:[flat-local-across-resume]",
+      "tests/lint_fixtures/flat/twin_copy.cpp:8:[flat-twin-drift]",
       "tests/lint_fixtures/flat/twin_drift.cpp:20:[flat-twin-drift]",
+      "tests/lint_fixtures/flat/twin_home.cpp:19:[flat-twin-drift]",
       "tests/lint_fixtures/mst/congest_bad.cpp:9:[congest-scheduler-access]",
       "tests/lint_fixtures/mst/congest_bad.cpp:12:[congest-scheduler-access]",
       "tests/lint_fixtures/mst/congest_bad.cpp:19:[det-unordered-iter]",
@@ -110,6 +112,30 @@ TEST(SmstLint, FlatLocalAcrossResumeMinimalRepro) {
   EXPECT_EQ(run.exit_code, 1);
   EXPECT_NE(run.stdout_text.find(
                 "flat_bad.cpp:53: [flat-local-across-resume] local 'total'"),
+            std::string::npos)
+      << run.stdout_text;
+}
+
+TEST(SmstLint, TwinDirectiveCoversOnlyItsOwnFile) {
+  // twin_copy.cpp repeats twin_home.cpp's drifting directive without
+  // defining the class: the drift is reported once, at the home file, and
+  // the copy is reported as a directive that checks nothing.
+  const LintRun run = RunLint(FixturePath("flat/twin_home.cpp") + " " +
+                              FixturePath("flat/twin_copy.cpp"));
+  EXPECT_EQ(run.exit_code, 1);
+  const std::set<std::string> expected = {
+      "tests/lint_fixtures/flat/twin_copy.cpp:8:[flat-twin-drift]",
+      "tests/lint_fixtures/flat/twin_home.cpp:19:[flat-twin-drift]",
+  };
+  EXPECT_EQ(FindingTriples(run.stdout_text), expected);
+  const std::size_t drift = run.stdout_text.find("have drifted apart");
+  ASSERT_NE(drift, std::string::npos) << run.stdout_text;
+  EXPECT_EQ(run.stdout_text.find("have drifted apart", drift + 1),
+            std::string::npos)
+      << run.stdout_text;
+  EXPECT_NE(run.stdout_text.find("twin_copy.cpp:8: [flat-twin-drift] twin "
+                                 "directive names class FlatRelay, which "
+                                 "this file does not define"),
             std::string::npos)
       << run.stdout_text;
 }

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "smst/mst/result.h"
+#include "smst/runtime/metrics.h"
 #include "smst/sleeping/ldt.h"
 
 namespace smst::testing {
@@ -24,20 +25,23 @@ inline void ExpectSameLdt(const LdtState& a, const LdtState& b) {
   }
 }
 
+inline void ExpectSameStats(const RunStats& a, const RunStats& b) {
+  EXPECT_EQ(a.rounds, b.rounds);
+  EXPECT_EQ(a.max_awake, b.max_awake);
+  EXPECT_EQ(a.avg_awake, b.avg_awake);  // exact, same sums
+  EXPECT_EQ(a.total_messages, b.total_messages);
+  EXPECT_EQ(a.total_bits, b.total_bits);
+  EXPECT_EQ(a.max_message_bits, b.max_message_bits);
+  EXPECT_EQ(a.dropped_messages, b.dropped_messages);
+  EXPECT_EQ(a.awake_node_rounds, b.awake_node_rounds);
+}
+
 inline void ExpectIdenticalRuns(const MstRunResult& a,
                                 const MstRunResult& b) {
   EXPECT_EQ(a.tree_edges, b.tree_edges);
   EXPECT_EQ(a.consistency_error, b.consistency_error);
   EXPECT_EQ(a.phases, b.phases);
-
-  EXPECT_EQ(a.stats.rounds, b.stats.rounds);
-  EXPECT_EQ(a.stats.max_awake, b.stats.max_awake);
-  EXPECT_EQ(a.stats.avg_awake, b.stats.avg_awake);  // exact, same sums
-  EXPECT_EQ(a.stats.total_messages, b.stats.total_messages);
-  EXPECT_EQ(a.stats.total_bits, b.stats.total_bits);
-  EXPECT_EQ(a.stats.max_message_bits, b.stats.max_message_bits);
-  EXPECT_EQ(a.stats.dropped_messages, b.stats.dropped_messages);
-  EXPECT_EQ(a.stats.awake_node_rounds, b.stats.awake_node_rounds);
+  ExpectSameStats(a.stats, b.stats);
 
   ASSERT_EQ(a.node_metrics.size(), b.node_metrics.size());
   for (std::size_t v = 0; v < a.node_metrics.size(); ++v) {

@@ -1,6 +1,9 @@
 // Tests for the sleeping-model toolbox: schedule arithmetic, the four
 // Appendix-B procedures, Merging-Fragments, and Fast-Awake-Coloring —
-// including the paper's O(1)-awake guarantees.
+// including the paper's O(1)-awake guarantees. Every procedure scenario
+// also runs the flat twin (sleeping/flat_procedures.h) and checks that it
+// leaves the same results, LDT states, marks and run metrics.
+#include <functional>
 #include <map>
 #include <set>
 #include <vector>
@@ -8,18 +11,23 @@
 #include <gtest/gtest.h>
 
 #include "smst/graph/generators.h"
+#include "smst/runtime/flat/program.h"
 #include "smst/runtime/simulator.h"
 #include "smst/sleeping/coloring.h"
+#include "smst/sleeping/flat_procedures.h"
 #include "smst/sleeping/ldt.h"
 #include "smst/sleeping/merging.h"
 #include "smst/sleeping/procedures.h"
 #include "smst/sleeping/schedule.h"
+#include "tests/run_identity.h"
 #include "tests/test_util.h"
 
 namespace smst {
 namespace {
 
 using testing::BuildForest;
+using testing::ExpectSameLdt;
+using testing::ExpectSameStats;
 using testing::PortTo;
 
 // ---------------------------------------------------------- Schedule ---
@@ -85,6 +93,54 @@ TEST(ScheduleTest, BlockCursorAdvances) {
   EXPECT_EQ(c.NextRound(), 67u);
 }
 
+// ------------------------------------------------------- Flat legs ---
+
+// The flat leg of a procedure test: one flat sub-machine per node, begun
+// by `begin` and read out by `done` once it finishes — what SMST_FLAT_SUB
+// does inside a flat MST driver.
+template <typename Sub>
+class FlatLeg final : public FlatProgram {
+ public:
+  using BeginFn = std::function<Round(Sub&, const FlatNodeRef&, SendBatch&)>;
+  using DoneFn = std::function<void(const Sub&, NodeIndex)>;
+
+  FlatLeg(const WeightedGraph& g, BeginFn begin, DoneFn done)
+      : g_(&g), subs_(g.NumNodes()), begin_(std::move(begin)),
+        done_(std::move(done)) {}
+
+  Round Start(NodeIndex v, FlatEnv& /*env*/, SendBatch& sends) override {
+    return Finish(v, begin_(subs_[v], FlatNodeRef{g_, v}, sends));
+  }
+
+  Round Step(NodeIndex v, Round /*now*/, FlatEnv& /*env*/,
+             const InboxBatch& inbox, SendBatch& sends) override {
+    return Finish(v, subs_[v].Resume(FlatNodeRef{g_, v}, inbox, sends));
+  }
+
+ private:
+  Round Finish(NodeIndex v, Round r) {
+    if (r == kFlatDone && done_) done_(subs_[v], v);
+    return r;
+  }
+
+  const WeightedGraph* g_;
+  std::vector<Sub> subs_;
+  BeginFn begin_;
+  DoneFn done_;
+};
+
+template <typename Sub>
+RunStats RunFlatLeg(const WeightedGraph& g,
+                    typename FlatLeg<Sub>::BeginFn begin,
+                    typename FlatLeg<Sub>::DoneFn done = {}) {
+  SimulatorOptions options;
+  options.engine = EngineMode::kFlat;
+  Simulator sim(g, options);
+  FlatLeg<Sub> program(g, std::move(begin), std::move(done));
+  sim.Run(program);
+  return sim.Stats();
+}
+
 // ------------------------------------------------ Procedure fixtures ---
 
 // A 6-node graph: path 0-1-2-3 plus 4 and 5 hanging off node 1 and 3.
@@ -125,6 +181,17 @@ TEST(FragmentBroadcastTest, ReachesEveryNodeInO1Awake) {
   auto stats = sim.Stats();
   EXPECT_LE(stats.max_awake, 2u);                       // O(1) awake
   EXPECT_LE(stats.rounds, ScheduleBlockLength(6));      // O(n) run time
+
+  std::vector<std::uint64_t> flat_got(6, 0);
+  const RunStats flat_stats = RunFlatLeg<FlatBroadcast>(
+      fx.g,
+      [&](FlatBroadcast& b, const FlatNodeRef& node, SendBatch& sends) {
+        return b.Begin(node, fx.states[node.v], 1, Message{100, 4242, 0, 0},
+                       sends);
+      },
+      [&](const FlatBroadcast& b, NodeIndex v) { flat_got[v] = b.msg.a; });
+  EXPECT_EQ(flat_got, got);
+  ExpectSameStats(flat_stats, stats);
 }
 
 Task<void> UpcastProgram(NodeContext& ctx, std::vector<LdtState>* states,
@@ -135,6 +202,34 @@ Task<void> UpcastProgram(NodeContext& ctx, std::vector<LdtState>* states,
       co_await UpcastMin(ctx, ldt, 1, (*own)[ctx.Index()]);
 }
 
+// Runs Upcast-Min from block 1 in both forms, checks that the flat twin
+// matches the coroutine, and returns the coroutine's per-node results.
+std::vector<UpcastItem> RunUpcastMin(SingleTreeFixture& fx,
+                                     std::vector<UpcastItem> own,
+                                     RunStats* stats) {
+  std::vector<UpcastItem> result(fx.g.NumNodes());
+  Simulator sim(fx.g);
+  sim.Run([&](NodeContext& ctx) {
+    return UpcastProgram(ctx, &fx.states, &own, &result);
+  });
+  *stats = sim.Stats();
+
+  std::vector<UpcastItem> flat_result(fx.g.NumNodes());
+  const RunStats flat_stats = RunFlatLeg<FlatUpcastMin>(
+      fx.g,
+      [&](FlatUpcastMin& u, const FlatNodeRef& node, SendBatch& sends) {
+        return u.Begin(node, fx.states[node.v], 1, own[node.v], sends);
+      },
+      [&](const FlatUpcastMin& u, NodeIndex v) { flat_result[v] = u.best; });
+  for (NodeIndex v = 0; v < fx.g.NumNodes(); ++v) {
+    EXPECT_EQ(flat_result[v].key, result[v].key) << "node " << v;
+    EXPECT_EQ(flat_result[v].b, result[v].b) << "node " << v;
+    EXPECT_EQ(flat_result[v].c, result[v].c) << "node " << v;
+  }
+  ExpectSameStats(flat_stats, *stats);
+  return result;
+}
+
 TEST(UpcastMinTest, MinReachesRootWithPayload) {
   SingleTreeFixture fx;
   std::vector<UpcastItem> own(6);
@@ -142,11 +237,8 @@ TEST(UpcastMinTest, MinReachesRootWithPayload) {
   own[2] = {30, 2, 2};
   own[5] = {10, 3, 3};  // global min at a leaf, deep in the tree
   own[4] = {40, 4, 4};
-  std::vector<UpcastItem> result(6);
-  Simulator sim(fx.g);
-  sim.Run([&](NodeContext& ctx) {
-    return UpcastProgram(ctx, &fx.states, &own, &result);
-  });
+  RunStats stats;
+  const std::vector<UpcastItem> result = RunUpcastMin(fx, own, &stats);
   EXPECT_EQ(result[0].key, 10u);
   EXPECT_EQ(result[0].b, 3u);
   EXPECT_EQ(result[0].c, 3u);
@@ -154,20 +246,17 @@ TEST(UpcastMinTest, MinReachesRootWithPayload) {
   EXPECT_EQ(result[3].key, 10u);
   // Node 4's subtree is itself.
   EXPECT_EQ(result[4].key, 40u);
-  EXPECT_LE(sim.Stats().max_awake, 2u);
+  EXPECT_LE(stats.max_awake, 2u);
 }
 
 TEST(UpcastMinTest, AllAbsentYieldsAbsentAtRoot) {
   SingleTreeFixture fx;
   std::vector<UpcastItem> own(6);  // all absent
-  std::vector<UpcastItem> result(6);
-  Simulator sim(fx.g);
-  sim.Run([&](NodeContext& ctx) {
-    return UpcastProgram(ctx, &fx.states, &own, &result);
-  });
+  RunStats stats;
+  const std::vector<UpcastItem> result = RunUpcastMin(fx, own, &stats);
   EXPECT_TRUE(result[0].Absent());
   // Nothing needed to be sent at all.
-  EXPECT_EQ(sim.Stats().total_messages, 0u);
+  EXPECT_EQ(stats.total_messages, 0u);
 }
 
 Task<void> UpcastSumProgram(NodeContext& ctx, std::vector<LdtState>* states,
@@ -194,6 +283,19 @@ TEST(UpcastSumTest, TotalsAndPerChildBreakdown) {
   EXPECT_EQ(by_port[PortTo(fx.g, 1, 2)], 5u);
   EXPECT_EQ(by_port[PortTo(fx.g, 1, 4)], 5u);
   EXPECT_LE(sim.Stats().max_awake, 2u);
+
+  std::vector<UpcastSumResult> flat_result(6);
+  const RunStats flat_stats = RunFlatLeg<FlatUpcastSum>(
+      fx.g,
+      [&](FlatUpcastSum& u, const FlatNodeRef& node, SendBatch& sends) {
+        return u.Begin(node, fx.states[node.v], 1, own[node.v], sends);
+      },
+      [&](const FlatUpcastSum& u, NodeIndex v) { flat_result[v] = u.result; });
+  for (NodeIndex v = 0; v < 6; ++v) {
+    EXPECT_EQ(flat_result[v].subtree_total, result[v].subtree_total);
+    EXPECT_EQ(flat_result[v].child_totals, result[v].child_totals);
+  }
+  ExpectSameStats(flat_stats, sim.Stats());
 }
 
 // Two fragments on a path 0-1 | 2-3 (edge 1-2 crosses).
@@ -254,10 +356,27 @@ struct MergeHarness {
     }
   }
 
+  // Runs the coroutine form on `states` / `mst_marks`, and the flat twin
+  // on copies of them, which must end up identical.
   void Run() {
+    std::vector<LdtState> flat_states = states;
+    std::vector<std::vector<bool>> flat_marks = mst_marks;
+    const RunStats flat_stats = RunFlatLeg<FlatMerge>(
+        g, [&](FlatMerge& m, const FlatNodeRef& node, SendBatch& sends) {
+          BlockCursor cursor(1, node.NumNodesKnown());
+          return m.Begin(node, flat_states[node.v], cursor, roles[node.v],
+                         flat_marks[node.v], sends);
+        });
+
     Simulator sim(g);
     sim.Run([this](NodeContext& ctx) { return Program(ctx); });
     stats = sim.Stats();
+
+    for (NodeIndex v = 0; v < g.NumNodes(); ++v) {
+      ExpectSameLdt(flat_states[v], states[v]);
+    }
+    EXPECT_EQ(flat_marks, mst_marks);
+    ExpectSameStats(flat_stats, stats);
   }
 
   Task<void> Program(NodeContext& ctx) {
@@ -400,10 +519,29 @@ struct ColoringHarness {
                                             h_ports[v]);
   }
 
+  // Runs the coroutine form into `results`, and the flat twin, which must
+  // compute the same colors with the same metrics.
   void Run() {
     Simulator sim(g);
     sim.Run([this](NodeContext& ctx) { return Program(ctx); });
     stats = sim.Stats();
+
+    std::vector<ColoringResult> flat_results(g.NumNodes());
+    const RunStats flat_stats = RunFlatLeg<FlatColoring>(
+        g,
+        [&](FlatColoring& c, const FlatNodeRef& node, SendBatch& sends) {
+          BlockCursor cursor(1, node.NumNodesKnown());
+          return c.Begin(node, states[node.v], cursor, nbr[node.v],
+                         h_ports[node.v], sends);
+        },
+        [&](const FlatColoring& c, NodeIndex v) {
+          flat_results[v] = c.result;
+        });
+    for (NodeIndex v = 0; v < g.NumNodes(); ++v) {
+      EXPECT_EQ(flat_results[v].my_color, results[v].my_color);
+      EXPECT_EQ(flat_results[v].neighbor_colors, results[v].neighbor_colors);
+    }
+    ExpectSameStats(flat_stats, stats);
   }
 
   RunStats stats;

@@ -52,8 +52,8 @@ void CollectDirectives(std::string_view comment, std::uint32_t line,
   }
 }
 
-// Parses `smst-lint-twin(FlatClass=CoroutineName)` twin declarations out
-// of a comment's text. Both sides are plain identifiers; malformed
+// Parses twin declarations — the tag directly followed by
+// `(FlatClass=CoroutineName)` — out of a comment's text. Both sides are plain identifiers; malformed
 // directives are ignored (the fixture corpus pins the accepted shape).
 void CollectTwins(std::string_view comment, std::uint32_t line,
                   std::vector<TwinDecl>& out) {

@@ -65,11 +65,11 @@ class Suppressions {
   std::map<std::uint32_t, std::set<std::string>> by_line_;
 };
 
-// A flat/coroutine twin declaration gathered from a comment:
-//   // smst-lint-twin(FlatBroadcast=FragmentBroadcast)
-// declares that the member functions of class FlatBroadcast (in this TU)
-// must use the same message tags and error-string literals as the
-// coroutine function FragmentBroadcast (in any TU of the same run).
+// A flat/coroutine twin declaration gathered from a comment: the tag
+// `smst-lint-twin` directly followed by `(FlatBroadcast=FragmentBroadcast)`
+// declares that the member functions of class FlatBroadcast (defined in
+// this file) must use the same message tags and error-string literals as
+// the coroutine function FragmentBroadcast (in any file of the same run).
 // The flat-twin-drift rule cross-checks the pair after all files are
 // analyzed; see rules.h.
 struct TwinDecl {

@@ -109,6 +109,7 @@ class Analysis {
     FlatPack();
     ShardPack();
     CollectTwinFacts();
+    CheckTwinDirectives();
 
     FileAnalysis out;
     out.path = file_.path;
@@ -651,6 +652,20 @@ class Analysis {
     }
   }
 
+  // A twin directive covers a flat class defined in its own file; one
+  // naming a class this file does not define (a renamed class, a copied
+  // directive) would check nothing, so it is reported instead.
+  void CheckTwinDirectives() {
+    for (const TwinDecl& tw : file_.twins) {
+      if (class_facts_.count(tw.flat_class) != 0) continue;
+      Flag(tw.line, "flat-twin-drift",
+           "twin directive names class " + tw.flat_class +
+               ", which this file does not define; a directive only "
+               "covers a flat class defined next to it, so this one checks "
+               "nothing — fix the class name or move the directive");
+    }
+  }
+
   const LexedFile& file_;
   const Tokens& t_;
   ParsedFile parsed_;
@@ -720,7 +735,7 @@ FileAnalysis AnalyzeFile(const LexedFile& file) {
 }
 
 void CrossCheckTwins(std::vector<FileAnalysis>& files) {
-  std::map<std::string, TwinFacts> classes, fns;
+  std::map<std::string, TwinFacts> fns;
   auto merge = [](TwinFacts& into, const TwinFacts& from) {
     into.tags.insert(into.tags.end(), from.tags.begin(), from.tags.end());
     into.literals.insert(into.literals.end(), from.literals.begin(),
@@ -734,7 +749,6 @@ void CrossCheckTwins(std::vector<FileAnalysis>& files) {
         into.literals.end());
   };
   for (const FileAnalysis& fa : files) {
-    for (const auto& [name, facts] : fa.class_facts) merge(classes[name], facts);
     for (const auto& [name, facts] : fa.fn_facts) merge(fns[name], facts);
   }
 
@@ -742,11 +756,14 @@ void CrossCheckTwins(std::vector<FileAnalysis>& files) {
     bool appended = false;
     for (const TwinRef& tw : fa.twins) {
       if (tw.suppressed) continue;
-      auto ci = classes.find(tw.flat_class);
+      // The flat side comes from the directive's own file (a directive
+      // naming a class defined elsewhere was reported by AnalyzeFile); the
+      // coroutine side from any file. Lenient when the coroutine is
+      // outside the analyzed set: a partial run (single file, fixtures)
+      // must not produce phantom drift.
+      auto ci = fa.class_facts.find(tw.flat_class);
       auto fi = fns.find(tw.coro_name);
-      // Lenient when either side is outside the analyzed set: a partial
-      // run (single file, fixtures) must not produce phantom drift.
-      if (ci == classes.end() || fi == fns.end()) continue;
+      if (ci == fa.class_facts.end() || fi == fns.end()) continue;
       std::string parts;
       auto add = [&parts](std::string_view what, const std::string& items) {
         if (items.empty()) return;

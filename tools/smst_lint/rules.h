@@ -13,7 +13,8 @@
 //              coroutines, no value-returning Task without co_return, no
 //              local addresses escaping across a co_await.
 //   flat-*     flat-lowering discipline for the Duff's-device state
-//              machines (mst/flat_driver.h): no locals alive across a
+//              machines (runtime/flat/flat_driver.h: the toolbox
+//              procedures and the MST drivers): no locals alive across a
 //              resume point, no missing case 0 / default, no implicit
 //              fallthrough between resume labels, no tag/error-string
 //              drift between a flat class and its coroutine twin.
@@ -69,8 +70,8 @@ struct TwinFacts {
   std::vector<std::string> literals;  // sorted, unique
 };
 
-// One `// smst-lint-twin(FlatClass=CoroName)` directive, resolved enough
-// to cross-check after all files are analyzed.
+// One twin directive (the `smst-lint-twin` tag, see lexer.h), resolved
+// enough to cross-check after all files are analyzed.
 struct TwinRef {
   std::string flat_class;
   std::string coro_name;
@@ -98,9 +99,9 @@ struct FileAnalysis {
 FileAnalysis AnalyzeFile(const LexedFile& file);
 
 // Cross-TU pass: for every twin directive, compares the flat class's
-// facts against the coroutine's facts across all analyzed files and
-// appends flat-twin-drift findings (at the directive's line) to the
-// directive's file. Call after all AnalyzeFile results are collected;
+// facts in the directive's own file against the coroutine's facts across
+// all analyzed files and appends flat-twin-drift findings (at the
+// directive's line) to the directive's file. Call after all AnalyzeFile results are collected;
 // deterministic given the same input set in any order.
 void CrossCheckTwins(std::vector<FileAnalysis>& files);
 

@@ -15,14 +15,34 @@ bool IsReservedWord(const Token& tok) {
                        "public",   "private",   "protected", "static_assert"});
 }
 
+// True when the type name at `i` — with its `ns::` qualifiers and
+// decl-specifiers — starts a statement, a label's statement, a parameter
+// or a control-flow header. Only there is `T * name` / `T & name` a
+// declaration; anywhere else (`x = a * b;`, `return a & b;`) it is a
+// product or a bitwise and.
+bool StartsDeclaration(const Tokens& t, std::size_t i) {
+  while (i >= 2 && t[i - 1].Is("::") && t[i - 2].kind == Token::Kind::kIdent) {
+    i -= 2;
+  }
+  if (i >= 1 && t[i - 1].Is("::")) --i;  // a leading global `::`
+  while (i > 0 && IsAnyOf(t[i - 1], {"const", "constexpr", "static",
+                                     "volatile", "thread_local", "typename",
+                                     "unsigned", "signed", "long", "short"})) {
+    --i;
+  }
+  return i == 0 || IsAnyOf(t[i - 1], {";", "{", "}", ":", "(", ","});
+}
+
 // Walks back from the token before a declared name to the type-ish
 // identifier, skipping cv/ref/pointer decorations and template argument
 // lists. Returns "" when the shape is not a declaration.
 std::string TypeLeftOf(const Tokens& t, std::size_t name_idx) {
   std::size_t k = name_idx;
+  bool indirect = false;  // a `*`, `&` or `&&` between type and name
   while (k > 0 &&
          (t[k - 1].Is("&") || t[k - 1].Is("&&") || t[k - 1].Is("*") ||
           t[k - 1].IsIdent("const") || t[k - 1].IsIdent("constexpr"))) {
+    indirect |= t[k - 1].kind == Token::Kind::kPunct;
     --k;
   }
   if (k == 0) return "";
@@ -43,6 +63,7 @@ std::string TypeLeftOf(const Tokens& t, std::size_t name_idx) {
       IsReservedWord(t[k - 1])) {
     return "";
   }
+  if (indirect && !StartsDeclaration(t, k - 1)) return "";
   return t[k - 1].text;
 }
 

@@ -8,6 +8,11 @@
 //   auto [a, b, ...] = ...                       (structured bindings)
 //   for (Type x : range) / if (auto m = ...; ...)  (header-scoped)
 //
+// With a `*`, `&` or `&&` between them, `Type` must start a statement,
+// a parameter or a header (after `;`, `{`, `}`, `:`, `(` or `,`, past
+// any `ns::` qualifiers and decl-specifiers): `s = a * b;` is a product,
+// not a declaration of `b`.
+//
 // A symbol's `type` is the last type-ish identifier left of its name
 // (template arguments skipped), which is exactly enough for the rules:
 // "is this an unordered container", "is this per-shard core/Metrics
